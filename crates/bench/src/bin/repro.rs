@@ -10,7 +10,6 @@
 //! cargo run -p abs-bench --release --bin repro -- --trace t.json --metrics fig7
 //! cargo run -p abs-bench --release --bin repro -- --kernel cycle fig7
 //! cargo run -p abs-bench --release --bin repro -- --list
-//! cargo run -p abs-bench --release --bin repro -- lint --json
 //! cargo run -p abs-bench --release --bin repro -- analyze repro_out/t.json
 //! cargo run -p abs-bench --release --bin repro -- sentinel --json
 //! ```
@@ -73,7 +72,6 @@ fn main() -> ExitCode {
             eprintln!("{message}\n\n{}", cli::help());
             ExitCode::FAILURE
         }
-        Parsed::Lint { json, diff } => lint(json, diff),
         Parsed::Analyze { file, json } => analyze(&file, json),
         Parsed::Sentinel {
             baseline,
@@ -202,52 +200,6 @@ fn sentinel(
             return ExitCode::from(2);
         }
         eprintln!("wrote {}", path.display());
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `repro lint [--json] [--diff]`: the abs-lint pass over this workspace.
-/// Exit code mirrors the standalone binary: 0 clean, 1 findings. With
-/// `--diff` the gate is differential instead — 0 iff no finding is NEW
-/// relative to `repro_out/baselines/lint_report.json`.
-fn lint(json: bool, diff: bool) -> ExitCode {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = match abs_lint::lint_workspace(&root) {
-        Ok(report) => report,
-        Err(message) => {
-            eprintln!("repro lint: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.to_text());
-    if json {
-        match report.write_json(&default_out_dir()) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("repro lint: cannot write JSON report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if diff {
-        return match abs_lint::diff::diff_against_baseline(&root, &report) {
-            Ok(result) => {
-                print!("{}", result.to_text());
-                if result.is_clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(message) => {
-                eprintln!("repro lint --diff: {message}");
-                ExitCode::FAILURE
-            }
-        };
     }
     if report.is_clean() {
         ExitCode::SUCCESS

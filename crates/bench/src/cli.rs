@@ -76,15 +76,6 @@ pub enum Parsed {
     Help,
     /// Print the exhibit table and exit successfully.
     List,
-    /// Run the abs-lint static-analysis pass
-    /// (`repro lint [--json] [--diff]`).
-    Lint {
-        /// Also write `repro_out/lint_report.json`.
-        json: bool,
-        /// Compare against `repro_out/baselines/lint_report.json` and fail
-        /// on any NEW finding, of any severity.
-        diff: bool,
-    },
     /// Run the abs-insight analysis passes over a Chrome trace file
     /// (`repro analyze <trace.json> [--json]`).
     Analyze {
@@ -123,24 +114,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
     let mut targets: Vec<String> = Vec::new();
 
     let mut args = args.into_iter().peekable();
-    // `repro lint [--json] [--diff]` is a subcommand, not an experiment run.
-    if args.peek().map(String::as_str) == Some("lint") {
-        args.next();
-        let mut json = false;
-        let mut diff = false;
-        for arg in args {
-            match arg.as_str() {
-                "--json" => json = true,
-                "--diff" => diff = true,
-                other => {
-                    return Parsed::Error(format!(
-                        "unknown lint argument {other:?}; usage: repro lint [--json] [--diff]"
-                    ));
-                }
-            }
-        }
-        return Parsed::Lint { json, diff };
-    }
     // `repro analyze <trace.json> [--json]` replays the abs-insight passes
     // over a previously written `--trace` file.
     if args.peek().map(String::as_str) == Some("analyze") {
@@ -368,7 +341,6 @@ pub fn help() -> String {
          usage: repro [--quick] [--reps N] [--seed S] [--jobs N] [--kernel K] [--resume]\n\
         \x20            [--csv DIR] [--trace FILE] [--metrics]\n\
         \x20            [--load R] [--tenants N] [--sched P] <id>... | all\n\
-        \x20       repro lint [--json] [--diff]\n\
         \x20       repro analyze <trace.json> [--json]\n\
         \x20       repro sentinel [--baseline F] [--fresh F] [--tolerance T] [--json]\n\n\
          --jobs N    run exhibits on N worker threads (default: available\n\
@@ -388,9 +360,6 @@ pub fn help() -> String {
          --sched P   open-loop exhibits only: restrict to one scheduler\n\
         \x20            policy (rr, prio or cfs; default runs all three)\n\
          --list      print the exhibit table (id + description) and exit\n\
-         lint        run the abs-lint static-analysis pass over the\n\
-        \x20            workspace (--json also writes repro_out/lint_report.json;\n\
-        \x20            --diff fails on NEW findings vs the committed baseline)\n\
          analyze     run the abs-insight passes (cycle attribution, barrier\n\
         \x20            episodes, per-tenant SLO timelines) over a --trace\n\
         \x20            file; --json also writes repro_out/analysis_<stem>.json\n\
@@ -572,32 +541,6 @@ mod tests {
         for flag in ["--trace", "--metrics", "--list", "--kernel", "--load", "--tenants", "--sched"] {
             assert!(h.contains(flag), "help must mention {flag}");
         }
-    }
-
-    #[test]
-    fn lint_subcommand_parses() {
-        assert_eq!(parse(&["lint"]), Parsed::Lint { json: false, diff: false });
-        assert_eq!(parse(&["lint", "--json"]), Parsed::Lint { json: true, diff: false });
-        assert_eq!(
-            parse(&["lint", "--diff"]),
-            Parsed::Lint { json: false, diff: true }
-        );
-        assert_eq!(
-            parse(&["lint", "--json", "--diff"]),
-            Parsed::Lint { json: true, diff: true }
-        );
-        match parse(&["lint", "fig7"]) {
-            Parsed::Error(msg) => assert!(msg.contains("repro lint"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
-        }
-        // Only the leading position makes it a subcommand: as a trailing
-        // word it is an unknown experiment.
-        assert!(matches!(parse(&["fig7", "lint"]), Parsed::Error(_)));
-    }
-
-    #[test]
-    fn help_mentions_lint() {
-        assert!(help().contains("repro lint"), "{}", help());
     }
 
     #[test]

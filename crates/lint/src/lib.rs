@@ -1,11 +1,11 @@
 //! **abs-lint** — a hermetic static-analysis pass for the workspace.
 //!
 //! Everything this reproduction claims — bit-identical cycle/event
-//! kernels, seeded replay, byte-identical traces at any `--jobs` count —
+//! kernels, seeded replay, overflow-free access and cycle accounting —
 //! rests on *source-level* rules that the dynamic suites
 //! (`kernel_equivalence`, `trace_identity`) can only sample. This crate
 //! enforces those rules statically, with zero external dependencies like
-//! the rest of the workspace:
+//! the rest of the workspace. Every rule gates:
 //!
 //! * **determinism** — simulation crates must not use unordered
 //!   collections, wall clocks, or unseeded randomness ([`rules`]).
@@ -15,17 +15,23 @@
 //!   `.expect(…)` without a written-down invariant ([`rules`]).
 //! * **unsafe-audit** — every `unsafe` carries a `SAFETY:` comment
 //!   ([`rules`]).
+//! * **arith** — no truncating casts or unchecked `+`/`*` on accounting
+//!   counters in library code ([`rules`]).
+//! * **contract-xref** — every `run_with` type is named by a
+//!   kernel-equivalence test ([`xref`]).
+//! * **allow-grammar** / **stale-allow** — every escape hatch is
+//!   well-formed, justified, and still suppresses something.
 //!
 //! Scanning is built on a hand-rolled, lossless Rust [`tokenizer`] that is
 //! comment-, string-, raw-string- and char-literal-aware, so a forbidden
-//! name inside a doc comment or a string never produces a false positive.
-//! Each rule is individually toggleable per finding site with an in-source
-//! escape hatch (grammar and catalog in `DESIGN.md` §10). Reports render
-//! as `file:line` text diagnostics and as a JSON document written to
-//! `repro_out/lint_report.json` ([`report`]).
+//! name inside a doc comment or a string never produces a false positive;
+//! the arith and contract-xref rules walk the same tokens with their
+//! brackets matched. Each rule is individually toggleable per finding site
+//! with an in-source escape hatch (grammar and catalog in `DESIGN.md`
+//! §10). Reports render as `file:line` text diagnostics and as a JSON
+//! document written to `repro_out/lint_report.json` ([`report`]).
 //!
-//! Run it as `cargo run -p abs-lint` (add `--json` for the report file),
-//! or as `repro lint` from the bench harness.
+//! Run it as `cargo run -p abs-lint` (add `--json` for the report file).
 //!
 //! # Examples
 //!
@@ -41,20 +47,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
-pub mod diff;
 pub mod manifest;
-pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sem;
 pub mod tokenizer;
 pub mod workspace;
+pub mod xref;
 
 use std::path::{Path, PathBuf};
 
 pub use report::Report;
-pub use rules::{Allow, Finding, Rule, SourcePolicy};
+pub use rules::{Allow, Finding, Rule, SourceFile, SourcePolicy};
 pub use workspace::Workspace;
 
 /// The workspace root this crate was built in (callers outside the repo
@@ -65,25 +68,25 @@ pub fn default_root() -> PathBuf {
 
 /// Runs every rule over the workspace rooted at `root`.
 ///
-/// Two-phase: first every source is tokenized, parsed, and scanned raw
-/// (token rules + semantic rules over the AST, with panic-deep severities
-/// elevated along the [`callgraph`] hot closure); then allow directives
-/// are applied uniformly, and any directive that suppressed *nothing* in
-/// the raw set becomes a [`Rule::StaleAllow`] finding — the escape
-/// hatches can never outlive the findings they justify.
+/// Two-phase: first every source is tokenized and scanned raw (per-file
+/// rules, then the workspace-level [`xref`] over all files); then allow
+/// directives are applied uniformly, and any directive that suppressed
+/// *nothing* in the raw set becomes a [`Rule::StaleAllow`] finding — the
+/// escape hatches can never outlive the findings they justify.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let ws = Workspace::discover(root)?;
     let mut findings = ws.findings.clone();
     let mut allows = Vec::new();
-    let mut parsed: Vec<sem::ParsedFile> = Vec::new();
+    let mut files = Vec::new();
 
     for entry in &ws.sources {
         let text = std::fs::read_to_string(&entry.path)
             .map_err(|e| format!("cannot read {}: {e}", entry.path.display()))?;
-        let (f, a) = rules::scan_source_raw(&entry.rel, &text, entry.policy);
+        let file = SourceFile::new(&entry.rel, &text, entry.policy);
+        let (f, a) = rules::scan_file(&file);
         findings.extend(f);
         allows.extend(a);
-        parsed.push(sem::ParsedFile::parse(&entry.rel, &text, entry.policy));
+        files.push(file);
     }
     for (path, rel) in &ws.manifests {
         let text = std::fs::read_to_string(path)
@@ -92,12 +95,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         findings.extend(f);
         allows.extend(a);
     }
-
-    let graph = callgraph::CallGraph::build(&parsed);
-    for (i, pf) in parsed.iter().enumerate() {
-        findings.extend(sem::scan_file(pf, &graph.hot_fns_of(i)));
-    }
-    findings.extend(sem::contract_xref(&parsed));
+    findings.extend(xref::contract_xref(&files));
 
     // Uniform suppression over the merged raw set, then staleness: a
     // directive must cover at least one raw finding to earn its keep.
@@ -171,24 +169,57 @@ mod tests {
 
     #[test]
     fn seeded_violation_is_caught() {
-        // Simulate reintroducing a HashMap into crates/coherence: scan the
-        // real directory.rs source with one poisoned line appended under
-        // the crate's real policy.
-        let root = default_root();
-        let path = root.join("crates/coherence/src/directory.rs");
-        let mut text = std::fs::read_to_string(path).expect("directory.rs exists");
-        let line_count = text.lines().count() as u32;
-        text.push_str("use std::collections::HashMap;\n");
-        let (findings, _) = rules::scan_source(
-            "crates/coherence/src/directory.rs",
-            &text,
-            SourcePolicy::sim_crate(),
-        );
-        assert!(
-            findings
+        // Reintroduce one violation into a real source under its crate's
+        // real policy, then run the per-file and workspace-level rules over
+        // the whole tree: a rule that goes blind on real sources, not only
+        // on fixtures, fails here. The offset is the poisoned line within
+        // the appended text.
+        let cases = [
+            (
+                "crates/coherence/src/directory.rs",
+                "use std::collections::HashMap;\n",
+                Rule::Determinism,
+                1,
+            ),
+            (
+                "crates/core/src/barrier.rs",
+                "impl BarrierSim {\n    fn seeded(&mut self) {\n        self.accesses += 1;\n    }\n}\n",
+                Rule::Arith,
+                3,
+            ),
+            (
+                "crates/core/src/barrier.rs",
+                "pub struct SeededSim;\n\nimpl SeededSim {\n    pub fn run_with(&self) {}\n}\n",
+                Rule::ContractXref,
+                3,
+            ),
+        ];
+        let ws = Workspace::discover(&default_root()).expect("workspace discovers");
+        for (rel, poison, rule, offset) in cases {
+            let mut line = 0;
+            let files: Vec<SourceFile> = ws
+                .sources
                 .iter()
-                .any(|f| f.rule == Rule::Determinism && f.line == line_count + 1),
-            "{findings:?}"
-        );
+                .map(|entry| {
+                    let mut text = std::fs::read_to_string(&entry.path).expect("source reads");
+                    if entry.rel == rel {
+                        line = text.lines().count() as u32 + offset;
+                        text.push_str(poison);
+                    }
+                    SourceFile::new(&entry.rel, &text, entry.policy)
+                })
+                .collect();
+            assert!(line > 0, "{rel} not discovered");
+            let mut findings = xref::contract_xref(&files);
+            for file in &files {
+                findings.extend(rules::scan_file(file).0);
+            }
+            assert!(
+                findings
+                    .iter()
+                    .any(|f| f.rule == rule && f.file == rel && f.line == line),
+                "{rule} not caught at {rel}:{line}: {findings:?}"
+            );
+        }
     }
 }

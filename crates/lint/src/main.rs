@@ -1,10 +1,9 @@
-//! `abs-lint` — lint the workspace for determinism, hermeticity, panic-path
-//! and unsafe hygiene.
+//! `abs-lint` — lint the workspace for determinism, hermeticity,
+//! panic-path, unsafe-audit, arith and contract-xref violations.
 //!
 //! ```text
 //! cargo run -p abs-lint                  # text diagnostics, exit 1 on findings
 //! cargo run -p abs-lint -- --json        # also write repro_out/lint_report.json
-//! cargo run -p abs-lint -- --diff        # gate on NEW findings vs the baseline
 //! cargo run -p abs-lint -- --root DIR    # lint another workspace root
 //! ```
 
@@ -13,13 +12,11 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut diff = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--diff" => diff = true,
             "--root" => {
                 let Some(dir) = args.next() else {
                     eprintln!("--root needs a directory");
@@ -30,12 +27,12 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "abs-lint — hermetic static analysis for the workspace\n\n\
-                     usage: abs-lint [--json] [--diff] [--root DIR]\n\n\
-                     --json      write repro_out/lint_report.json (and print it)\n\
-                     --diff      compare against repro_out/baselines/lint_report.json\n\
-                     \x20           and fail on any NEW finding, of any severity\n\
+                     usage: abs-lint [--json] [--root DIR]\n\n\
+                     --json      also write repro_out/lint_report.json\n\
                      --root DIR  workspace root to lint (default: this repo)\n\n\
-                     rules: determinism, hermeticity, panic-path, unsafe-audit\n\
+                     rules: determinism, hermeticity, panic-path, unsafe-audit, arith,\n\
+                     \x20      contract-xref, allow-grammar, stale-allow\n\
+                     exit 1 on any finding\n\
                      escape hatch (in source): abs-lint: allow(<rule>) -- <justification>"
                 );
                 return ExitCode::SUCCESS;
@@ -65,22 +62,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if diff {
-        return match abs_lint::diff::diff_against_baseline(&root, &report) {
-            Ok(result) => {
-                print!("{}", result.to_text());
-                if result.is_clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(message) => {
-                eprintln!("abs-lint --diff: {message}");
-                ExitCode::FAILURE
-            }
-        };
     }
     if report.is_clean() {
         ExitCode::SUCCESS

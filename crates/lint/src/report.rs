@@ -10,12 +10,11 @@ use std::path::{Path, PathBuf};
 
 use abs_exec::json::Value;
 
-use crate::rules::{Allow, Finding, Severity};
+use crate::rules::{Allow, Finding};
 
-/// Schema version of the JSON report. Version 2 added the per-finding
-/// `severity` field, the severity summary, and the top-level
-/// `schema_version` key that differential mode keys on.
-pub const REPORT_VERSION: u32 = 2;
+/// Schema version of the JSON report. Version 3 dropped the per-finding
+/// `severity` field and the severity summary: every rule gates.
+pub const REPORT_VERSION: u32 = 3;
 
 /// Everything one lint run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,37 +33,21 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether the tree is clean (exit code 0): no **error**-severity
-    /// findings. Warn/info findings live in the committed baseline and
-    /// gate differentially via [`crate::diff`].
+    /// Whether the tree is clean (exit code 0): no finding survived.
     pub fn is_clean(&self) -> bool {
-        self.count(Severity::Error) == 0
+        self.findings.is_empty()
     }
 
-    /// Findings at exactly `severity`.
-    pub fn count(&self, severity: Severity) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == severity)
-            .count()
-    }
-
-    /// `file:line: rule [severity]: message` diagnostics (error and warn
-    /// findings only; info findings are counted in the summary and kept
-    /// in the JSON report) plus a one-line summary.
+    /// `file:line: rule: message` diagnostics plus a one-line summary.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for finding in &self.findings {
-            if finding.severity >= Severity::Warn {
-                out.push_str(&finding.to_string());
-                out.push('\n');
-            }
+            out.push_str(&finding.to_string());
+            out.push('\n');
         }
         out.push_str(&format!(
-            "abs-lint: {} error(s), {} warn(s), {} info across {} files and {} manifests ({} allows)\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warn),
-            self.count(Severity::Info),
+            "abs-lint: {} finding(s) across {} files and {} manifests ({} allows)\n",
+            self.findings.len(),
             self.files_scanned,
             self.manifests_scanned,
             self.allows.len(),
@@ -73,8 +56,7 @@ impl Report {
     }
 
     /// The machine-readable report document. Findings are (re)sorted by
-    /// (file, line, rule) so the bytes are stable for a given tree — the
-    /// property the committed diff baseline depends on.
+    /// (file, line, rule) so the bytes are stable for a given tree.
     pub fn to_json(&self) -> Value {
         let mut sorted: Vec<&Finding> = self.findings.iter().collect();
         sorted.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -83,7 +65,6 @@ impl Report {
             .map(|f| {
                 Value::Obj(vec![
                     ("rule".into(), Value::Str(f.rule.name().to_string())),
-                    ("severity".into(), Value::Str(f.severity.name().to_string())),
                     ("file".into(), Value::Str(f.file.clone())),
                     ("line".into(), Value::Num(f.line as f64)),
                     ("message".into(), Value::Str(f.message.clone())),
@@ -115,14 +96,6 @@ impl Report {
             ("schema_version".into(), Value::Num(f64::from(REPORT_VERSION))),
             ("root".into(), Value::Str(self.root.clone())),
             ("clean".into(), Value::Bool(self.is_clean())),
-            (
-                "severity_counts".into(),
-                Value::Obj(vec![
-                    ("error".into(), Value::Num(self.count(Severity::Error) as f64)),
-                    ("warn".into(), Value::Num(self.count(Severity::Warn) as f64)),
-                    ("info".into(), Value::Num(self.count(Severity::Info) as f64)),
-                ]),
-            ),
             ("files_scanned".into(), Value::Num(self.files_scanned as f64)),
             (
                 "manifests_scanned".into(),
@@ -171,10 +144,13 @@ mod tests {
     fn text_has_file_line_diagnostics_and_summary() {
         let text = sample().to_text();
         assert!(
-            text.contains("crates/coherence/src/directory.rs:10: determinism [error]:"),
+            text.contains("crates/coherence/src/directory.rs:10: determinism: "),
             "{text}"
         );
-        assert!(text.contains("1 error(s), 0 warn(s), 0 info"), "{text}");
+        assert!(
+            text.contains("abs-lint: 1 finding(s) across 90 files"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -188,10 +164,6 @@ mod tests {
         assert_eq!(
             findings[0].get("rule").and_then(Value::as_str),
             Some("determinism")
-        );
-        assert_eq!(
-            findings[0].get("severity").and_then(Value::as_str),
-            Some("error")
         );
         assert_eq!(
             v.get("schema_version").and_then(Value::as_f64),

@@ -1,7 +1,8 @@
 //! The rule engine: token-level checks over one Rust source file.
 //!
-//! Four rules protect the reproduction's determinism claims (the catalog
-//! with full rationale lives in `DESIGN.md` §10):
+//! Five per-file rules protect the reproduction's determinism and
+//! accounting claims (the catalog with full rationale lives in
+//! `DESIGN.md` §10):
 //!
 //! * **determinism** — simulation crates must not name unordered
 //!   collections (`HashMap`/`HashSet`/`RandomState`), wall clocks
@@ -12,8 +13,18 @@
 //!   the escape hatch forces the invariant to be written down.
 //! * **unsafe-audit** — every `unsafe` occurrence needs a `// SAFETY:`
 //!   comment within the three preceding lines.
+//! * **arith** — inside library fn bodies, a truncating `as` cast to a
+//!   narrower integer with a non-literal operand, and unchecked `+`/`*`
+//!   (including `+=`/`*=`) whose operand is an accounting counter
+//!   ([`ACCOUNTING_VOCAB`]). At N = 2²⁰ one silent wrap corrupts an
+//!   exhibit, so these demand `checked_`/`saturating_`/widening
+//!   arithmetic or a justified allow.
 //! * **allow-grammar** — the escape hatch itself must be well-formed and
 //!   carry a justification.
+//!
+//! The workspace-level rules live elsewhere: hermeticity in
+//! [`crate::manifest`], contract-xref in [`crate::xref`], stale-allow in
+//! [`crate::lint_workspace`].
 //!
 //! The escape hatch is an in-source comment that must *begin* the comment
 //! (so prose mentioning the grammar is inert) and suppresses matching
@@ -25,13 +36,15 @@
 //! ```
 //!
 //! Test code (items under `#[cfg(test)]` or `#[test]`) is exempt from the
-//! determinism and panic-path rules but not from the unsafe audit.
+//! determinism, panic-path and arith rules but not from the unsafe audit.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::tokenizer::{tokenize, TokKind, Token};
 
-/// The rule catalog.
+/// The rule catalog. Every rule gates: a tree is clean exactly when no
+/// finding survives its allow directives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Unordered collections, wall clocks, ambient RNG in sim crates.
@@ -44,17 +57,10 @@ pub enum Rule {
     UnsafeAudit,
     /// Malformed `abs-lint: allow(…)` directives.
     AllowGrammar,
-    /// Truncating casts / unchecked `+`·`*` on accounting state
-    /// ([`crate::sem`]).
+    /// Truncating casts / unchecked `+`·`*` on accounting state.
     Arith,
-    /// RNG draws in conditional contexts, unstable sorts, float→int
-    /// arithmetic feeding sim state ([`crate::sem`]).
-    DeterminismFlow,
-    /// Slice indexing, non-literal division, `unreachable!` — elevated
-    /// when reachable from kernel hot loops ([`crate::sem`]).
-    PanicDeep,
     /// `run_with` types not named by any kernel-equivalence test
-    /// ([`crate::sem`]).
+    /// ([`crate::xref`]).
     ContractXref,
     /// An allow directive that no longer suppresses anything
     /// ([`crate::lint_workspace`]).
@@ -65,14 +71,12 @@ impl Rule {
     /// The rules an `allow(…)` directive may name: everything except the
     /// grammar rule (which guards the directives themselves) and the
     /// staleness rule (allowing a stale allow would be self-defeating).
-    pub const ALLOWABLE: [Rule; 8] = [
+    pub const ALLOWABLE: [Rule; 6] = [
         Rule::Determinism,
         Rule::Hermeticity,
         Rule::PanicPath,
         Rule::UnsafeAudit,
         Rule::Arith,
-        Rule::DeterminismFlow,
-        Rule::PanicDeep,
         Rule::ContractXref,
     ];
 
@@ -85,8 +89,6 @@ impl Rule {
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::AllowGrammar => "allow-grammar",
             Rule::Arith => "arith",
-            Rule::DeterminismFlow => "determinism-flow",
-            Rule::PanicDeep => "panic-deep",
             Rule::ContractXref => "contract-xref",
             Rule::StaleAllow => "stale-allow",
         }
@@ -95,64 +97,6 @@ impl Rule {
     /// Parses a directive rule name.
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::ALLOWABLE.into_iter().find(|r| r.name() == name)
-    }
-
-    /// The severity a finding of this rule carries by default. `sem`
-    /// elevates panic-deep to [`Severity::Warn`] on hot-loop-reachable
-    /// paths.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            Rule::Determinism
-            | Rule::Hermeticity
-            | Rule::PanicPath
-            | Rule::UnsafeAudit
-            | Rule::AllowGrammar
-            | Rule::Arith
-            | Rule::ContractXref
-            | Rule::StaleAllow => Severity::Error,
-            Rule::DeterminismFlow => Severity::Warn,
-            Rule::PanicDeep => Severity::Info,
-        }
-    }
-}
-
-/// How strongly a finding gates.
-///
-/// Only [`Severity::Error`] findings make a tree unclean (nonzero exit);
-/// `Warn` and `Info` findings live in the committed baseline and gate
-/// *differentially* — `repro lint --diff` fails on any **new** finding of
-/// any severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Recorded in the report; surfaced only when new.
-    Info,
-    /// Suspicious; surfaced in text output and gated when new.
-    Warn,
-    /// Violates a hard invariant; fails the run outright.
-    Error,
-}
-
-impl Severity {
-    /// The lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        }
-    }
-
-    /// Parses a report severity name.
-    pub fn from_name(name: &str) -> Option<Severity> {
-        [Severity::Info, Severity::Warn, Severity::Error]
-            .into_iter()
-            .find(|s| s.name() == name)
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -167,8 +111,6 @@ impl fmt::Display for Rule {
 pub struct Finding {
     /// The violated rule.
     pub rule: Rule,
-    /// How strongly the finding gates.
-    pub severity: Severity,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line.
@@ -178,11 +120,10 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A finding at the rule's default severity.
+    /// A finding of `rule` at `file:line`.
     pub fn new(rule: Rule, file: impl Into<String>, line: u32, message: impl Into<String>) -> Self {
         Finding {
             rule,
-            severity: rule.default_severity(),
             file: file.into(),
             line,
             message: message.into(),
@@ -194,8 +135,8 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {} [{}]: {}",
-            self.file, self.line, self.rule, self.severity, self.message
+            "{}:{}: {}: {}",
+            self.file, self.line, self.rule, self.message
         )
     }
 }
@@ -227,7 +168,8 @@ impl Allow {
 pub struct SourcePolicy {
     /// Apply the determinism rule (simulation crates only).
     pub determinism: bool,
-    /// Apply the panic-path rule (library code; not tests/benches).
+    /// Apply the library-code rules: panic-path and arith (not
+    /// tests/benches).
     pub panic_path: bool,
 }
 
@@ -287,31 +229,181 @@ const DETERMINISM_BANS: &[(&str, &str)] = &[
     ),
 ];
 
+/// Counters whose silent overflow or truncation corrupts an exhibit: the
+/// access/cycle/occupancy accounting vocabulary shared by the sim crates.
+pub const ACCOUNTING_VOCAB: &[&str] = &[
+    "accesses",
+    "total_accesses",
+    "var_accesses",
+    "sync_accesses",
+    "presented",
+    "served",
+    "denied",
+    "busy_cycles",
+    "idle_cycles",
+    "cycles",
+    "completion",
+    "queued",
+    "flag_set_at",
+];
+
+/// Integer types an `as` cast may truncate into.
+const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
+
+/// Rust keywords (idents that are never operand names).
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
+    "type", "unsafe", "use", "where", "while",
+];
+
+/// One tokenized source file: the unit every rule scans.
+#[derive(Debug)]
+pub struct SourceFile {
+    /// Workspace-relative path.
+    pub rel: String,
+    /// The rule policy [`crate::workspace`] assigned to the file.
+    pub policy: SourcePolicy,
+    /// The lossless token stream.
+    pub tokens: Vec<Token>,
+    /// Token ranges of the outermost `#[cfg(test)]`/`#[test]` items.
+    pub test_regions: Vec<Range<usize>>,
+}
+
+impl SourceFile {
+    /// Tokenizes one source file and finds its test regions.
+    pub fn new(rel: &str, text: &str, policy: SourcePolicy) -> Self {
+        let tokens = tokenize(text);
+        let test_regions = test_regions(&tokens);
+        SourceFile {
+            rel: rel.to_string(),
+            policy,
+            tokens,
+            test_regions,
+        }
+    }
+
+    /// Source text of a token range.
+    pub fn text_of(&self, range: Range<usize>) -> String {
+        self.tokens[range].iter().map(|t| t.text.as_str()).collect()
+    }
+
+    /// Whether each token lies inside a test region.
+    fn test_mask(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.tokens.len()];
+        for region in &self.test_regions {
+            mask[region.clone()].fill(true);
+        }
+        mask
+    }
+}
+
+/// The code tokens of a file (whitespace and comments dropped) with their
+/// brackets matched: the walk the arith and contract-xref rules run on.
+pub(crate) struct Code<'a> {
+    /// Code tokens in source order.
+    pub toks: Vec<&'a Token>,
+    /// Each code token's index in the full token stream.
+    pub at: Vec<usize>,
+    /// For a bracket, the code index of its partner (the last token for
+    /// an unclosed opener); for any other token, its own index.
+    pub partner: Vec<usize>,
+}
+
+impl<'a> Code<'a> {
+    pub fn new(tokens: &'a [Token]) -> Self {
+        let (at, toks): (Vec<usize>, Vec<&Token>) = tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.is_code())
+            .unzip();
+        let mut partner: Vec<usize> = (0..toks.len()).collect();
+        let mut open = Vec::new();
+        for (ci, t) in toks.iter().enumerate() {
+            match t.text.as_str() {
+                "(" | "[" | "{" => open.push(ci),
+                ")" | "]" | "}" => {
+                    if let Some(o) = open.pop() {
+                        partner[o] = ci;
+                        partner[ci] = o;
+                    }
+                }
+                _ => {}
+            }
+        }
+        for o in open {
+            partner[o] = toks.len() - 1;
+        }
+        Code { toks, at, partner }
+    }
+
+    pub fn len(&self) -> usize {
+        self.toks.len()
+    }
+
+    /// Text of code token `ci` (empty past the end).
+    pub fn text(&self, ci: usize) -> &str {
+        self.toks.get(ci).map_or("", |t| t.text.as_str())
+    }
+
+    /// Whether code token `ci` is the identifier `word`.
+    pub fn is_kw(&self, ci: usize, word: &str) -> bool {
+        self.toks
+            .get(ci)
+            .is_some_and(|t| t.kind == TokKind::Ident && t.text == word)
+    }
+
+    /// A non-keyword identifier at `ci`, if there is one.
+    pub fn name(&self, ci: usize) -> Option<&str> {
+        self.toks
+            .get(ci)
+            .filter(|t| t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str()))
+            .map(|t| t.text.as_str())
+    }
+
+    /// The code index of the `{` opening the body of the item whose
+    /// keyword sits at `ci`: the first `{` at the keyword's own depth,
+    /// stepping over `(…)` and `[…]`. `None` when a `;` or an enclosing
+    /// closer comes first (a body-less item).
+    pub fn body_open(&self, ci: usize) -> Option<usize> {
+        let mut cj = ci + 1;
+        while cj < self.len() {
+            match self.text(cj) {
+                "{" => return Some(cj),
+                "(" | "[" => cj = self.partner[cj],
+                ";" | ")" | "]" | "}" => return None,
+                _ => {}
+            }
+            cj += 1;
+        }
+        None
+    }
+}
+
 /// Scans one Rust source file. Returns surviving findings (allow
 /// directives already applied) plus every well-formed directive, for the
 /// report's audit trail.
 pub fn scan_source(rel_path: &str, text: &str, policy: SourcePolicy) -> (Vec<Finding>, Vec<Allow>) {
-    let (mut findings, allows) = scan_source_raw(rel_path, text, policy);
+    let (mut findings, allows) = scan_file(&SourceFile::new(rel_path, text, policy));
     findings.retain(|f| {
         f.rule == Rule::AllowGrammar || !allows.iter().any(|a| a.covers(f.rule, f.line))
     });
     (findings, allows)
 }
 
-/// Like [`scan_source`] but returns every finding *before* allow
-/// suppression. [`crate::lint_workspace`] needs the raw set to decide
-/// which allows are stale, and applies suppression itself after merging
-/// in the semantic rules.
-pub fn scan_source_raw(
-    rel_path: &str,
-    text: &str,
-    policy: SourcePolicy,
-) -> (Vec<Finding>, Vec<Allow>) {
-    let tokens = tokenize(text);
+/// Runs every per-file rule and returns each finding *before* allow
+/// suppression, plus the file's directives. [`crate::lint_workspace`]
+/// needs the raw set to decide which allows are stale, and applies
+/// suppression itself after merging in the workspace-level rules.
+pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<Allow>) {
+    let rel_path = file.rel.as_str();
+    let policy = file.policy;
+    let tokens = &file.tokens;
     let mut findings = Vec::new();
     let mut allows = Vec::new();
 
-    for token in &tokens {
+    for token in tokens {
         if let TokKind::LineComment | TokKind::BlockComment = token.kind {
             match parse_directive(&token.text) {
                 DirectiveParse::NotADirective => {}
@@ -328,21 +420,16 @@ pub fn scan_source_raw(
         }
     }
 
-    let in_test = test_code_mask(&tokens);
-    let safety_lines = safety_comment_lines(&tokens);
+    let in_test = file.test_mask();
+    let safety_lines = safety_comment_lines(tokens);
+    let code = Code::new(tokens);
 
-    // Code tokens with their position in the full stream.
-    let code: Vec<(usize, &Token)> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.is_code())
-        .collect();
-
-    for (ci, &(ti, token)) in code.iter().enumerate() {
+    for (ci, token) in code.toks.iter().enumerate() {
         if token.kind != TokKind::Ident {
             continue;
         }
-        if policy.determinism && !in_test[ti] {
+        let library = !in_test[code.at[ci]];
+        if policy.determinism && library {
             if let Some((_, reason)) = DETERMINISM_BANS.iter().find(|(n, _)| *n == token.text) {
                 findings.push(Finding::new(
                     Rule::Determinism,
@@ -353,11 +440,11 @@ pub fn scan_source_raw(
             }
         }
         if policy.panic_path
-            && !in_test[ti]
+            && library
             && (token.text == "unwrap" || token.text == "expect")
             && ci > 0
-            && code[ci - 1].1.text == "."
-            && matches!(code.get(ci + 1), Some((_, t)) if t.text == "(")
+            && code.text(ci - 1) == "."
+            && code.text(ci + 1) == "("
         {
             findings.push(Finding::new(
                 Rule::PanicPath,
@@ -386,8 +473,125 @@ pub fn scan_source_raw(
         }
     }
 
+    if policy.panic_path {
+        let in_body = fn_bodies(&code);
+        for ci in 0..code.len() {
+            if in_body[ci] && !in_test[code.at[ci]] {
+                if let Some(finding) = arith_at(&code, ci, rel_path) {
+                    findings.push(finding);
+                }
+            }
+        }
+    }
+
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     (findings, allows)
+}
+
+/// Which code tokens lie inside the body of some `fn` item.
+fn fn_bodies(code: &Code) -> Vec<bool> {
+    let mut mask = vec![false; code.len()];
+    for ci in 0..code.len() {
+        // `fn name` opens an item; `fn(…)` is a pointer type. A fn nested
+        // in a marked body is already covered by its parent.
+        if mask[ci] || !code.is_kw(ci, "fn") || code.name(ci + 1).is_none() {
+            continue;
+        }
+        if let Some(open) = code.body_open(ci) {
+            mask[open..=code.partner[open]].fill(true);
+        }
+    }
+    mask
+}
+
+/// The arith rule at code token `ci`: a truncating `as` cast, or an
+/// unchecked `+`/`*` (plain or compound) touching an accounting counter.
+fn arith_at(code: &Code, ci: usize, rel_path: &str) -> Option<Finding> {
+    let token = code.toks[ci];
+    let prev = ci.checked_sub(1).map(|p| code.toks[p]);
+    let message = match (token.kind, token.text.as_str()) {
+        (TokKind::Ident, "as") => {
+            let target = code.text(ci + 1);
+            // A literal operand is visibly in range; an opener means `as`
+            // has no operand in this group.
+            let operand = prev.filter(|p| {
+                !matches!(p.kind, TokKind::Number | TokKind::Char)
+                    && !matches!(p.text.as_str(), "(" | "[" | "{")
+            });
+            if !NARROW_TARGETS.contains(&target) || operand.is_none() {
+                return None;
+            }
+            format!(
+                "truncating `as {target}` on a non-literal value silently wraps at \
+                 scale; use `{target}::try_from(…)`, widen the type, or add a \
+                 justified allow"
+            )
+        }
+        (TokKind::Punct, op @ ("+" | "*")) => {
+            if code.text(ci + 1) == "=" {
+                // `counter += …` / `counter *= …`: the target is the chain
+                // ending right before the operator.
+                let target = name_before(code, ci).filter(|t| ACCOUNTING_VOCAB.contains(t))?;
+                format!(
+                    "unchecked `{op}=` on accounting counter `{target}`: overflow \
+                     wraps silently; use `saturating_`/`checked_` arithmetic or \
+                     add a justified allow"
+                )
+            } else {
+                // Binary form. A `*` with no value to its left is a deref;
+                // after a `}` it starts a statement.
+                let valueish = prev.is_some_and(|p| {
+                    code.name(ci - 1).is_some()
+                        || p.kind == TokKind::Number
+                        || matches!(p.text.as_str(), ")" | "]")
+                        || (p.text == "}" && op == "+")
+                });
+                if !valueish {
+                    return None;
+                }
+                let ident = [name_before(code, ci), name_after(code, ci + 1)]
+                    .into_iter()
+                    .flatten()
+                    .find(|i| ACCOUNTING_VOCAB.contains(i))?;
+                format!(
+                    "unchecked `{op}` involving accounting counter `{ident}`: \
+                     overflow wraps silently; use `saturating_`/`checked_` \
+                     arithmetic or add a justified allow"
+                )
+            }
+        }
+        _ => return None,
+    };
+    Some(Finding::new(Rule::Arith, rel_path, token.line, message))
+}
+
+/// Terminal identifier of the operand ending just before code index `ci`:
+/// the callee of a trailing call, or the last field of an `a.b.c` chain.
+fn name_before<'c>(code: &'c Code, ci: usize) -> Option<&'c str> {
+    let mut j = ci.checked_sub(1)?;
+    if code.text(j) == ")" {
+        j = code.partner[j].checked_sub(1)?;
+    }
+    code.name(j)
+}
+
+/// Terminal identifier of the operand starting at code index `ci`: the
+/// last identifier of an `a.b.c(…)` chain.
+fn name_after<'c>(code: &'c Code, mut ci: usize) -> Option<&'c str> {
+    let mut last = None;
+    while ci < code.len() {
+        if let Some(name) = code.name(ci) {
+            last = Some(name);
+            ci += 1;
+            continue;
+        }
+        match code.text(ci) {
+            "." | ":" | "self" | "Self" => ci += 1,
+            "(" if last.is_some() => ci = code.partner[ci] + 1,
+            _ => break,
+        }
+    }
+    last
 }
 
 /// Lines on which a `SAFETY:` comment *ends* (multi-line block comments
@@ -401,14 +605,14 @@ fn safety_comment_lines(tokens: &[Token]) -> Vec<u32> {
         .collect()
 }
 
-/// Marks every token that belongs to a `#[cfg(test)]`/`#[test]` item.
+/// The token ranges of every outermost `#[cfg(test)]`/`#[test]` item.
 ///
 /// The scan recognizes the attribute sequence `#` `[` … `]`, joins its
 /// code tokens, and when the attribute is test-shaped skips over any
 /// further attributes and then the item itself (to the matching close
 /// brace, or a top-level `;` for brace-less items).
-fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
+fn test_regions(tokens: &[Token]) -> Vec<Range<usize>> {
+    let mut regions = Vec::new();
     let code: Vec<usize> = (0..tokens.len()).filter(|&i| tokens[i].is_code()).collect();
     let mut ci = 0usize;
     while ci < code.len() {
@@ -447,19 +651,15 @@ fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
             }
             cj += 1;
         }
-        // Mark every token (code or not) spanned by the attribute + item.
-        let first = code[start];
-        let last = if cj > 0 && cj - 1 < code.len() {
-            code[cj - 1]
-        } else {
-            tokens.len() - 1
-        };
-        for slot in &mut mask[first..=last] {
-            *slot = true;
-        }
+        // The region spans every token (code or not) from the attribute
+        // through the item's last token.
+        let end = code
+            .get(cj.wrapping_sub(1))
+            .map_or(tokens.len(), |&last| last + 1);
+        regions.push(code[start]..end);
         ci = cj.max(ci + 1);
     }
-    mask
+    regions
 }
 
 /// Reads an attribute starting at code index `ci`. Returns whether one was
@@ -570,6 +770,10 @@ mod tests {
 
     fn sim_findings(src: &str) -> Vec<Finding> {
         scan_source("test.rs", src, SourcePolicy::sim_crate()).0
+    }
+
+    fn rules_of(findings: &[Finding]) -> Vec<Rule> {
+        findings.iter().map(|f| f.rule).collect()
     }
 
     #[test]
@@ -709,6 +913,80 @@ fn f() {
     fn findings_render_as_file_line_rule() {
         let f = sim_findings("fn f() { x.unwrap(); }");
         let line = f[0].to_string();
-        assert!(line.starts_with("test.rs:1: panic-path [error]:"), "{line}");
+        assert!(line.starts_with("test.rs:1: panic-path: "), "{line}");
+    }
+
+    #[test]
+    fn narrowing_cast_is_flagged_with_line() {
+        let f = sim_findings("fn f(id: usize) -> u32 {\n    id as u32\n}\n");
+        assert_eq!(rules_of(&f), [Rule::Arith]);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("try_from"));
+    }
+
+    #[test]
+    fn widening_and_literal_casts_are_fine() {
+        assert!(sim_findings("fn f(x: u32) -> u64 { x as u64 }").is_empty());
+        assert!(sim_findings("fn f() -> u32 { 7 as u32 }").is_empty());
+        assert!(sim_findings("fn f() -> u32 { 'x' as u32 }").is_empty());
+        assert!(sim_findings("fn f(x: u32) -> usize { x as usize }").is_empty());
+    }
+
+    #[test]
+    fn arith_is_scoped_to_library_fn_bodies() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn f(id: usize) -> u32 { id as u32 }\n}\n";
+        assert!(sim_findings(src).is_empty());
+        assert!(sim_findings("const N: u32 = M as u32;\n").is_empty());
+        let f = scan_source(
+            "t.rs",
+            "fn f(id: usize) -> u32 { id as u32 }",
+            SourcePolicy::test_code(),
+        )
+        .0;
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn compound_add_on_accounting_counter() {
+        let f = sim_findings("fn f(&mut self) {\n    self.cycles += 1;\n}\n");
+        assert_eq!(rules_of(&f), [Rule::Arith]);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("`+=`"), "{}", f[0].message);
+        assert!(f[0].message.contains("cycles"));
+    }
+
+    #[test]
+    fn binary_add_on_accounting_counter() {
+        let f = sim_findings("fn f(&self) -> u64 { self.local + self.root.completion() }");
+        assert_eq!(rules_of(&f), [Rule::Arith]);
+        assert!(f[0].message.contains("completion"));
+        let f = sim_findings("fn f(&self) -> u64 { self.cycles() * 2 }");
+        assert_eq!(rules_of(&f), [Rule::Arith]);
+    }
+
+    #[test]
+    fn saturating_add_is_fine() {
+        let src = "fn f(&mut self) { self.cycles = self.cycles.saturating_add(1); }";
+        assert!(sim_findings(src).is_empty());
+    }
+
+    #[test]
+    fn plain_counters_do_not_fire() {
+        assert!(sim_findings("fn f(i: usize) -> usize { i + 1 }").is_empty());
+        assert!(sim_findings("fn f(&mut self) { self.idx += 1; }").is_empty());
+        assert!(sim_findings("fn f(&self) -> u64 { self.cycles[i] + 1 }").is_empty());
+    }
+
+    #[test]
+    fn deref_star_is_not_multiplication() {
+        assert!(sim_findings("fn f(p: &u64) -> u64 { let x = *p; x }").is_empty());
+        let src = "fn f(c: &mut u64) { if go() { step(); }\n *cycles = 0; }";
+        assert!(sim_findings(src).is_empty(), "{:?}", sim_findings(src));
+    }
+
+    #[test]
+    fn fn_pointer_types_open_no_body() {
+        let src = "struct S { f: fn(u64) -> u64 }\nconst C: u32 = X as u32;\n";
+        assert!(sim_findings(src).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Scope map (the rationale is in `DESIGN.md` §10):
 //!
-//! | location | determinism | panic-path | unsafe-audit |
+//! | location | determinism | panic-path, arith | unsafe-audit |
 //! |---|---|---|---|
 //! | `crates/{core,net,sync,model,coherence,trace,sim,load,insight}/src` | ✔ | ✔ | ✔ |
 //! | other `crates/*/src`, root `src/` | ✘ | ✔ | ✔ |

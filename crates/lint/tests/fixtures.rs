@@ -3,8 +3,10 @@
 //! scan clean. The fixtures live under `tests/fixtures/`, which workspace
 //! discovery deliberately skips (they are written to violate the rules).
 
-use abs_lint::rules::{scan_source, Rule, SourcePolicy};
+use std::path::PathBuf;
+
 use abs_lint::manifest::scan_manifest;
+use abs_lint::rules::{scan_source, Rule, SourcePolicy};
 
 fn rules_of(findings: &[abs_lint::Finding]) -> Vec<Rule> {
     findings.iter().map(|f| f.rule).collect()
@@ -95,4 +97,43 @@ fn hermeticity_negative_fixture_is_clean() {
     let (findings, allows) = scan_manifest("fixture/Cargo.toml", toml);
     assert!(findings.is_empty(), "{findings:?}");
     assert!(allows.is_empty());
+}
+
+#[test]
+fn stale_and_unknown_allows_are_findings() {
+    // A minimal workspace root whose only source carries one directive
+    // that covers nothing and one naming a rule that no longer exists.
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("stale_allow_root");
+    std::fs::create_dir_all(root.join("src")).expect("temp root");
+    std::fs::write(root.join("Cargo.toml"), "[package]\nname = \"demo\"\n").expect("manifest");
+    std::fs::write(
+        root.join("src/lib.rs"),
+        "// abs-lint: allow(panic-path) -- nothing below unwraps\n\
+         pub fn f() {}\n\
+         // abs-lint: allow(panic-deep) -- a retired rule\n\
+         pub fn g(v: &[u64], i: usize) -> u64 { v[i] }\n",
+    )
+    .expect("source");
+    let report = abs_lint::lint_workspace(&root).expect("lint runs");
+    let stale: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::StaleAllow)
+        .collect();
+    assert_eq!(stale.len(), 1, "{:?}", report.findings);
+    assert_eq!((stale[0].file.as_str(), stale[0].line), ("src/lib.rs", 1));
+    let grammar: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::AllowGrammar)
+        .collect();
+    assert_eq!(grammar.len(), 1, "{:?}", report.findings);
+    assert_eq!(grammar[0].line, 3);
+    assert!(
+        grammar[0].message.contains("unknown rule \"panic-deep\""),
+        "{}",
+        grammar[0].message
+    );
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+    assert!(!report.is_clean());
 }

@@ -32,8 +32,8 @@
 //!   bounded ring buffer, metrics registry, Chrome trace-event export
 //!   (Perfetto-compatible), and an in-terminal ASCII timeline.
 //! * [`lint`] — hermetic static analysis enforcing the determinism,
-//!   hermeticity, panic-path, and unsafe-audit rules across the workspace
-//!   (`cargo run -p abs-lint`, or `repro lint`).
+//!   hermeticity, panic-path, unsafe-audit, arith and contract-xref rules
+//!   across the workspace (`cargo run -p abs-lint`).
 //! * [`load`] — the open-loop traffic engine: arrival processes,
 //!   multi-tenant job mixes, admission scheduling, and `OpenLoopSim`
 //!   behind the `loadsweep`/`fairness` exhibits.
