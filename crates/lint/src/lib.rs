@@ -176,7 +176,7 @@ mod tests {
         // the appended text.
         let cases = [
             (
-                "crates/coherence/src/directory.rs",
+                "crates/coherence/src/system.rs",
                 "use std::collections::HashMap;\n",
                 Rule::Determinism,
                 1,

@@ -201,7 +201,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("{rel} not discovered"))
                 .policy
         };
-        assert!(policy_of("crates/coherence/src/directory.rs").determinism);
+        assert!(policy_of("crates/coherence/src/system.rs").determinism);
         assert!(policy_of("crates/net/src/packet.rs").determinism);
         assert!(policy_of("crates/load/src/engine.rs").determinism);
         assert!(!policy_of("crates/exec/src/engine.rs").determinism);
