@@ -71,6 +71,30 @@ fn barrier_exhaustive_grid_bit_identical() {
     }
 }
 
+/// The release tier: the pending-set sizes past 1024 that the Figure 4–10
+/// grid never reaches, where the event kernel's sets hold thousands of
+/// requests. Too slow for the cycle stepper in a debug build.
+#[cfg(not(debug_assertions))]
+#[test]
+fn barrier_large_n_grid_bit_identical() {
+    for policy in BackoffPolicy::figure_policies() {
+        for arb in Arbitration::ALL {
+            for n in [1025usize, 2048, 4096] {
+                for a in [0u64, 1000] {
+                    let sim =
+                        BarrierSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
+                    let seed = derive_seed(0x1A26E, (n as u64) << 32 | a);
+                    assert_eq!(
+                        sim.run_with(seed, Kernel::Cycle),
+                        sim.run_with(seed, Kernel::Event),
+                        "{policy:?} {arb:?} N={n} A={a} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn property_barrier_kernels_bit_identical() {
     let policies = barrier_policies();
@@ -182,6 +206,28 @@ fn combining_exhaustive_grid_bit_identical() {
                         "{policy:?} {arb:?} N={n} A={a} d={degree} seed={seed}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Release tier: a 1024-processor tree, whose upper nodes' sets span
+/// hundreds of ids.
+#[cfg(not(debug_assertions))]
+#[test]
+fn combining_large_n_bit_identical() {
+    for policy in BackoffPolicy::figure_policies() {
+        for arb in Arbitration::ALL {
+            for (degree, a) in [(4usize, 0u64), (4, 1000), (8, 0), (8, 1000)] {
+                let sim = CombiningTreeSim::new(
+                    CombiningConfig::new(1024, a, degree).with_arbitration(arb),
+                    policy,
+                );
+                assert_eq!(
+                    sim.run_with(7, Kernel::Cycle),
+                    sim.run_with(7, Kernel::Event),
+                    "{policy:?} {arb:?} d={degree} A={a}"
+                );
             }
         }
     }
