@@ -50,7 +50,6 @@ pub mod resource;
 pub mod sharded;
 pub mod single;
 pub mod traffic;
-pub mod wheel;
 
 pub use abs_sim::kernel::Kernel;
 pub use barrier::{BarrierConfig, BarrierRun, BarrierSim};

@@ -8,7 +8,7 @@
 //!   transcription of the model; it is retained as the **reference
 //!   oracle** that the equivalence suite checks the fast kernel against.
 //! * [`Kernel::Event`] — the event-driven skip-ahead kernel: incremental
-//!   active sets updated at phase transitions, a bucketed time wheel for
+//!   active sets updated at phase transitions, a `(time, id)` heap of
 //!   future wake-ups, and a next-event clock that jumps over dead cycles.
 //!   This is the default everywhere.
 //!

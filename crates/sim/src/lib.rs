@@ -20,8 +20,8 @@
 //! * [`kernel`] — the [`Kernel`] selector shared by every simulator that
 //!   ships both a reference cycle stepper and the event-driven skip-ahead
 //!   kernel (bit-identical by contract; `cycle` is the oracle).
-//! * [`wheel`] — the bucketed [`wheel::TimeWheel`] that every skip-ahead
-//!   kernel parks its future wake-ups in.
+//! * [`wheel`] — the [`wheel::TimeWheel`], a `(time, id)` min-heap that
+//!   every skip-ahead kernel parks its future wake-ups in.
 //! * [`bitset`] — a fixed-capacity [`bitset::FixedBitset`] with ascending
 //!   iteration, the compact id-set the event kernels use at mega-`N`.
 //!
