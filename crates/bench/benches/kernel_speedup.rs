@@ -14,19 +14,11 @@
 //! suite), so every row is the same computation twice — the ratio is pure
 //! kernel overhead.
 //!
-//! Two extra sections ride on the same table:
-//!
-//! * **Injector scaling** (`injector_*` points): the engine's two
-//!   dispatch modes run the same 256-tiny-job set; the *cursor* injector
-//!   lands in the `cycle_ns` column and the *work-stealing* injector in
-//!   `event_ns`, so `repro sentinel` guards dispatch overhead with the
-//!   same machinery that guards kernel overhead. The results are
-//!   bit-identical (enforced by the abs-exec dispatch tests); the ratio
-//!   is pure injection cost.
-//! * **Mega-N** (the top-level `event_only` array): barrier episodes at
-//!   `N` where the cycle stepper is intractable, timed under the event
-//!   kernel alone. The sentinel ignores this array (its points have no
-//!   cycle column); the `N = 2²⁰` point only runs with `ABS_BENCH_MEGA=1`.
+//! A **mega-N** section rides on the same table (the top-level
+//! `event_only` array): barrier episodes at `N` where the cycle stepper is
+//! intractable, timed under the event kernel alone. The sentinel ignores
+//! this array (its points have no cycle column); the `N = 2²⁰` point only
+//! runs with `ABS_BENCH_MEGA=1`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -37,7 +29,6 @@ use abs_core::{
     BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig, CombiningTreeSim, Kernel,
     ResourceConfig, ResourcePolicy, ResourceSim,
 };
-use abs_exec::{Dispatch, Engine, ExecConfig, JobSet};
 use abs_net::{CircuitConfig, CircuitSim, NetworkBackoff, PacketConfig, PacketSim};
 
 /// One benchmarked sweep point: a named episode closure per kernel.
@@ -45,40 +36,6 @@ struct Point {
     name: &'static str,
     run: Box<dyn Fn(Kernel)>,
 }
-
-/// One injector-scaling point: the same job set per dispatch mode.
-struct InjectorPoint {
-    name: &'static str,
-    run: Box<dyn Fn(Dispatch)>,
-}
-
-fn injector_point(name: &'static str, workers: usize) -> InjectorPoint {
-    InjectorPoint {
-        name,
-        run: Box::new(move |dispatch| {
-            let engine = Engine::new(ExecConfig::new(workers).with_dispatch(dispatch));
-            let mut set = JobSet::new(0xBE7C);
-            for i in 0..256u64 {
-                // Tiny jobs so the injection path, not the payload,
-                // dominates the measurement.
-                set.push(format!("job{i}"), move |seed| {
-                    let mut x = seed ^ i;
-                    for _ in 0..64 {
-                        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
-                    }
-                    x
-                });
-            }
-            std::hint::black_box(
-                engine
-                    .run(set)
-                    .into_values()
-                    .expect("injector bench jobs never panic"),
-            );
-        }),
-    }
-}
-
 
 fn barrier_point(name: &'static str, n: usize, a: u64, policy: BackoffPolicy) -> Point {
     let sim = BarrierSim::new(BarrierConfig::new(n, a), policy);
@@ -204,12 +161,6 @@ fn main() {
         barrier_point("barrier_n4096_a1000_exp2", 4096, 1000, BackoffPolicy::exponential(2)),
     ];
 
-    let injectors = vec![
-        injector_point("injector_256jobs_w1", 1),
-        injector_point("injector_256jobs_w2", 2),
-        injector_point("injector_256jobs_w8", 8),
-    ];
-
     // Mega-N barrier episodes: event kernel only (the cycle stepper scans
     // all N processors every cycle, which is intractable here). N = 2²⁰
     // takes seconds per episode, so it only runs when asked for.
@@ -236,12 +187,6 @@ fn main() {
         }
         group.finish();
     }
-    for point in &injectors {
-        let mut group = bench.group(point.name);
-        group.bench("cursor", || (point.run)(Dispatch::Cursor));
-        group.bench("stealing", || (point.run)(Dispatch::Stealing));
-        group.finish();
-    }
     for point in &megas {
         let mut group = bench.group(point.name);
         group.bench("event", || (point.run)(Kernel::Event));
@@ -264,13 +209,6 @@ fn main() {
         let (cycle_ns, cycle_mad_ns) = find(point.name, "cycle");
         let (event_ns, event_mad_ns) = find(point.name, "event");
         rows.push((point.name.to_string(), cycle_ns, cycle_mad_ns, event_ns, event_mad_ns));
-    }
-    // Injector rows share the table: cursor dispatch in the cycle column,
-    // work-stealing in the event column (see the module docs).
-    for point in &injectors {
-        let (cursor_ns, cursor_mad_ns) = find(point.name, "cursor");
-        let (steal_ns, steal_mad_ns) = find(point.name, "stealing");
-        rows.push((point.name.to_string(), cursor_ns, cursor_mad_ns, steal_ns, steal_mad_ns));
     }
     let mega_rows: Vec<(String, f64, f64)> = megas
         .iter()

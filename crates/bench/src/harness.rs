@@ -35,6 +35,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use abs_exec::json::escape;
 use abs_sim::stats::{median, median_abs_deviation};
 
 /// Timing budgets and sample counts for one [`Bench`] runner.
@@ -168,7 +169,7 @@ impl Bench {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"runner\": {},", json_string(&self.name));
+        let _ = writeln!(out, "  \"runner\": {},", escape(&self.name));
         out.push_str("  \"results\": [\n");
         for (i, r) in self.reports.iter().enumerate() {
             let _ = write!(
@@ -176,8 +177,8 @@ impl Bench {
                 "    {{\"group\": {}, \"bench\": {}, \"iters_per_sample\": {}, \
                  \"samples\": {}, \"median_ns\": {}, \"mad_ns\": {}, \"mean_ns\": {}, \
                  \"min_ns\": {}, \"max_ns\": {}, \"elements_per_iter\": {}}}",
-                json_string(&r.group),
-                json_string(&r.id),
+                escape(&r.group),
+                escape(&r.id),
                 r.iters_per_sample,
                 r.samples,
                 json_f64(r.median_ns),
@@ -366,27 +367,6 @@ fn format_count(x: f64) -> String {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders an `f64` as a JSON number (JSON has no NaN/inf, so map those to
 /// null).
 fn json_f64(x: f64) -> String {
@@ -463,7 +443,7 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(1.5), "1.500");
     }

@@ -98,7 +98,8 @@ impl<'scope, T> JobSet<'scope, T> {
     }
 
     /// Appends a job with an explicitly chosen seed (for callers that have
-    /// their own derivation scheme, e.g. `Repetitions`); returns its id.
+    /// their own derivation scheme, e.g. `ShardPlan::seed_for`); returns its
+    /// id.
     pub fn push_seeded<F>(&mut self, name: impl Into<String>, seed: u64, run: F) -> usize
     where
         F: Fn(u64) -> T + Send + Sync + 'scope,

@@ -24,9 +24,6 @@
 //!   per-job status written beside the run's artifacts; a later run with
 //!   the same seed/config can load it and **resume**, skipping completed
 //!   jobs. (Serialization is in-tree: [`json`] is a minimal JSON model.)
-//! * [`run_repetitions`] — the parallel path for
-//!   [`abs_sim::sweep::Repetitions`], bit-for-bit equal to its sequential
-//!   `run`.
 //! * [`ShardPlan`] / [`run_shards`] — deterministic intra-run sharding:
 //!   one giant simulation partitioned into plan-time shards with derived
 //!   seeds and an ordered merge, so `--jobs N` accelerates a *single* run.
@@ -63,13 +60,9 @@ pub mod engine;
 pub mod job;
 pub mod json;
 pub mod manifest;
-pub mod reps;
 pub mod shard;
 
-pub use engine::{
-    available_parallelism, Dispatch, Engine, ExecConfig, ExecError, RunReport, WorkerStats,
-};
+pub use engine::{available_parallelism, Engine, ExecConfig, ExecError, RunReport, WorkerStats};
 pub use job::{Job, JobFailure, JobOutcome, JobSet, JobStats};
 pub use manifest::{git_commit, JobRecord, JobStatus, RunManifest};
-pub use reps::run_repetitions;
 pub use shard::{run_shards, Shard, ShardPlan};

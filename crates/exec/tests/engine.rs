@@ -2,13 +2,10 @@
 //! determinism at any worker count, panic isolation, and
 //! resume-from-manifest.
 
-use abs_exec::{
-    run_repetitions, Engine, ExecConfig, JobSet, JobStatus, RunManifest,
-};
+use abs_exec::{Engine, ExecConfig, JobSet, JobStatus, RunManifest};
 use abs_sim::check::{self, Config};
 use abs_sim::forall;
 use abs_sim::rng::SplitMix64;
-use abs_sim::sweep::Repetitions;
 
 /// A seed-deterministic stand-in for a simulation: a short SplitMix64
 /// stream folded to one value.
@@ -123,22 +120,6 @@ fn property_engine_commit_equals_sequential_execution() {
             .collect();
         let engine = Engine::new(ExecConfig::new(workers));
         let parallel = engine.run(seeded_set(master, n)).into_values().unwrap();
-        assert_eq!(parallel, sequential);
-    });
-}
-
-#[test]
-fn property_repetitions_parallel_path_matches_run() {
-    forall!(Config::with_cases(32), (
-        master in check::any_u64(),
-        runs in check::usize_in(1..30),
-        workers in check::usize_in(1..5),
-    ) {
-        let reps = Repetitions::new(runs as u32, master);
-        let experiment = |seed: u64| vec![("value", simulate(seed) as f64 / 1e6)];
-        let sequential = reps.run(experiment);
-        let engine = Engine::new(ExecConfig::new(workers));
-        let parallel = run_repetitions(&engine, &reps, experiment).unwrap();
         assert_eq!(parallel, sequential);
     });
 }

@@ -22,7 +22,7 @@
 //!    processor id wins, losers back off under the configured
 //!    [`BackoffPolicy`] (`retry = now + 1 + delay`). Flag spins poll a
 //!    deterministic external flag; RMW reads are unserialized. Every
-//!    presented attempt is charged to the [`MemorySystem`].
+//!    presented attempt counts as one sync access.
 //! 3. **Completions** — jobs whose local work finishes release their
 //!    processor and report their measured service to the scheduler
 //!    (`SchedPolicy::on_complete`, feeding CFS runtime accounting).
@@ -46,7 +46,6 @@ use abs_obs::trace::{lane, TraceSink};
 use abs_sim::kernel::Kernel;
 use abs_sim::stats::{p50, p95, p99, OnlineStats};
 use abs_sim::wheel::TimeWheel;
-use abs_trace::ops::{CountingConsumer, MemorySystem, RefKind, SYNC_BASE};
 use abs_trace::sched::SchedKind;
 
 use crate::tenant::{generate_stream, Job, OpKind, Tenant};
@@ -117,7 +116,7 @@ pub struct LoadOutcome {
     pub admitted: u64,
     /// Jobs that ran to completion.
     pub completed: u64,
-    /// Sync-variable accesses presented to the memory system.
+    /// Sync-variable accesses presented (every attempt, won or lost).
     pub sync_accesses: u64,
     /// Processor-cycles spent with no job (the loadsweep's idle metric).
     pub idle_proc_cycles: u64,
@@ -233,9 +232,7 @@ impl OpenLoopSim {
         &self.tenants
     }
 
-    /// The job stream this engine replays for `seed` — exposed so callers
-    /// can feed the identical stream elsewhere (e.g. into
-    /// `PacketSim` ports via [`crate::feed::port_feed`]).
+    /// The job stream this engine replays for `seed`.
     pub fn stream(&self, seed: u64) -> Vec<Job> {
         generate_stream(&self.tenants, self.config.vars, self.config.horizon, seed)
     }
@@ -250,21 +247,8 @@ impl OpenLoopSim {
         self.run_traced_with(seed, &mut abs_obs::trace::Noop, kernel)
     }
 
-    /// Runs with a trace sink, counting accesses internally.
-    pub fn run_traced_with<S: TraceSink>(
-        &self,
-        seed: u64,
-        sink: &mut S,
-        kernel: Kernel,
-    ) -> LoadOutcome {
-        let mut mem = CountingConsumer::new();
-        self.run_traced_memory_with(seed, sink, &mut mem, kernel)
-    }
-
     /// The canonical entry point: runs the stream for `seed` under
-    /// `kernel`, tracing into `sink` and charging every presented sync
-    /// access to `mem` (`mem.tick(now)` fires once per cycle that
-    /// presented at least one access).
+    /// `kernel`, tracing into `sink`.
     ///
     /// Trace layout: per-job spans named by op on the processor's lane
     /// (`tid == p`), `admit` instants carrying the admission wait,
@@ -275,11 +259,10 @@ impl OpenLoopSim {
     /// cycle), a `backoff` span over each failed attempt's wait, an
     /// `rmw-read` instant on each RMW read leg, and a `truncated` instant
     /// ahead of every span force-closed at the horizon.
-    pub fn run_traced_memory_with<S: TraceSink, M: MemorySystem>(
+    pub fn run_traced_with<S: TraceSink>(
         &self,
         seed: u64,
         sink: &mut S,
-        mem: &mut M,
         kernel: Kernel,
     ) -> LoadOutcome {
         let cfg = &self.config;
@@ -348,7 +331,6 @@ impl OpenLoopSim {
             }
 
             let mut active = false;
-            let mut accessed = false;
 
             // 1. Arrivals.
             arrivals.pop_due(now, &mut due);
@@ -369,9 +351,7 @@ impl OpenLoopSim {
                 match state[p] {
                     ProcState::Faa { ji, attempts } => {
                         let job = jobs[ji];
-                        mem.access(p, SYNC_BASE + job.var as u64, true, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         if Self::claim(&mut var_claim, &mut touched, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -386,9 +366,7 @@ impl OpenLoopSim {
                     }
                     ProcState::Spin { ji, attempts } => {
                         let job = jobs[ji];
-                        mem.access(p, SYNC_BASE + job.var as u64, false, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         if self.flag_set(now, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -402,21 +380,16 @@ impl OpenLoopSim {
                         }
                     }
                     ProcState::RmwRead { ji, attempts } => {
-                        let job = jobs[ji];
                         // The read half is unserialized: it always
                         // completes, and the CAS presents next cycle.
-                        mem.access(p, SYNC_BASE + job.var as u64, false, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         state[p] = ProcState::RmwCas { ji, attempts };
                         attempts_wheel.schedule(now + 1, p);
                         sink.instant(lane(p), now, "rmw-read", &[]);
                     }
                     ProcState::RmwCas { ji, attempts } => {
                         let job = jobs[ji];
-                        mem.access(p, SYNC_BASE + job.var as u64, true, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         if Self::claim(&mut var_claim, &mut touched, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -499,9 +472,6 @@ impl OpenLoopSim {
             }
             touched.clear();
 
-            if accessed {
-                mem.tick(now);
-            }
             if active {
                 queue_depth.push(pending_by_tenant.iter().sum::<u64>() as f64);
                 if sink.enabled() {
@@ -638,6 +608,24 @@ mod tests {
     }
 
     #[test]
+    fn on_variable_backoff_is_indistinguishable_from_none() {
+        // The engine only consults `flag_delay`, which is 0 for
+        // `OnVariable`, and has no barrier-variable wait phase; so the
+        // loadsweep's "backoff on barrier var" rows equal its "without
+        // backoff" rows. An engine change that gives the policy meaning
+        // must update this test and those rows together.
+        for sched in SchedKind::ALL {
+            let none = quick_sim(sched, BackoffPolicy::None);
+            let on_var = quick_sim(sched, BackoffPolicy::on_variable());
+            for seed in 0..2 {
+                let o = none.run(seed);
+                assert!(o.sync_accesses > o.admitted, "sched {sched:?}: no retries");
+                assert_eq!(o, on_var.run(seed), "sched {sched:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn kernels_bit_identical_across_policies() {
         for sched in SchedKind::ALL {
             for backoff in BackoffPolicy::figure_policies() {
@@ -735,20 +723,6 @@ mod tests {
         );
         let per_tenant: u64 = o.tenants.iter().map(|t| t.completed).sum();
         assert_eq!(per_tenant, o.completed);
-    }
-
-    #[test]
-    fn memory_system_sees_every_presented_access() {
-        let sim = quick_sim(SchedKind::Cfs, BackoffPolicy::exponential(2));
-        let mut mem = CountingConsumer::new();
-        let o = sim.run_traced_memory_with(
-            2,
-            &mut abs_obs::trace::Noop,
-            &mut mem,
-            Kernel::Event,
-        );
-        assert_eq!(mem.sync(), o.sync_accesses);
-        assert_eq!(mem.total(), o.sync_accesses, "engine traffic is all sync");
     }
 
     #[test]

@@ -450,10 +450,11 @@ impl CircuitSim {
         let mut events: Vec<usize> = Vec::new();
         let mut due: Vec<usize> = Vec::with_capacity(n);
         // Next-cycle fast path: a saturated no-backoff hot-spot retries
-        // every collision at `now + 1`, which would round-trip the wheel
-        // (slot push, pop, drain) once per processor per cycle. Events one
-        // cycle out are buffered here instead and merged with the wheel
-        // pops; only genuinely future events pay for the wheel.
+        // every collision at `now + 1`, which would push onto and pop off
+        // the wheel's `(time, id)` heap — an O(log n) sift each way — once
+        // per processor per cycle. Events one cycle out are buffered here
+        // instead and merged with the wheel pops; only genuinely future
+        // events pay for the heap.
         let mut next_cycle: Vec<usize> = Vec::with_capacity(n);
 
         let mut now = 1u64;

@@ -10,8 +10,8 @@
 //! * [`stats`] — online mean/variance accumulators, summaries with standard
 //!   deviation and confidence intervals, and integer histograms, matching the
 //!   paper's methodology of averaging 100 runs and reporting the spread.
-//! * [`sweep`] — a repetition runner and parameter-sweep helpers that derive
-//!   per-run seeds from a master seed.
+//! * [`sweep`] — repetition seeding (per-run seeds derived from a master
+//!   seed) and parameter-sweep helpers.
 //! * [`table`] / [`series`] — plain-text table and CSV rendering used by the
 //!   `repro` harness to print the paper's tables and figure series.
 //! * [`check`] — an in-tree property-based testing mini-framework (the

@@ -1,12 +1,12 @@
 //! Repetition and parameter-sweep helpers.
 //!
 //! The paper's methodology (Section 5.2) repeats each barrier simulation 100
-//! times with fresh random arrivals and averages. [`Repetitions`] packages
-//! that pattern: it derives an independent seed per run from a master seed
-//! and folds each run's scalar outputs into [`OnlineStats`] accumulators.
+//! times with fresh random arrivals and averages. [`Repetitions`] owns the
+//! seed half of that pattern: it derives an independent seed per run from a
+//! master seed. Callers fold the runs themselves (the exhibits through
+//! `abs_core::aggregate_runs_with`).
 
 use crate::rng::SplitMix64;
-use crate::stats::{OnlineStats, Summary};
 
 /// Derives the seed for repetition `index` of an experiment from a master
 /// `seed`.
@@ -28,23 +28,18 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
     sm2.next_u64()
 }
 
-/// Runs an experiment closure a fixed number of times with derived seeds and
-/// aggregates every returned metric.
-///
-/// The closure returns a vector of named metrics per run; metrics are matched
-/// positionally across runs (the names from the first run are kept).
+/// A fixed number of repetitions of one experiment, each with a seed
+/// derived from a master seed.
 ///
 /// # Examples
 ///
 /// ```
-/// use abs_sim::sweep::Repetitions;
+/// use abs_sim::sweep::{derive_seed, Repetitions};
 ///
-/// let outcome = Repetitions::new(50, 1234).run(|seed| {
-///     // A toy "simulation": pseudo-random but seed-deterministic value.
-///     vec![("metric", (seed % 100) as f64)]
-/// });
-/// assert_eq!(outcome.runs(), 50);
-/// assert_eq!(outcome.metric_names(), ["metric"]);
+/// let reps = Repetitions::new(50, 1234);
+/// let seeds = reps.seeds();
+/// assert_eq!(seeds.len(), 50);
+/// assert_eq!(seeds[7], derive_seed(1234, 7));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Repetitions {
@@ -53,8 +48,7 @@ pub struct Repetitions {
 }
 
 impl Repetitions {
-    /// Creates a runner that performs `runs` repetitions derived from
-    /// `seed`.
+    /// Creates `runs` repetitions derived from `seed`.
     ///
     /// # Panics
     ///
@@ -62,11 +56,6 @@ impl Repetitions {
     pub fn new(runs: u32, seed: u64) -> Self {
         assert!(runs > 0, "at least one run is required");
         Self { runs, seed }
-    }
-
-    /// The paper's default: 100 repetitions.
-    pub fn paper_default(seed: u64) -> Self {
-        Self::new(100, seed)
     }
 
     /// Number of repetitions configured.
@@ -79,147 +68,12 @@ impl Repetitions {
         self.seed
     }
 
-    /// The per-repetition seeds, in repetition order.
-    ///
-    /// This is the exact seed sequence [`run`](Self::run) feeds the
-    /// experiment; parallel executors (e.g. `abs-exec`) use it to build one
-    /// job per repetition and then fold the results back with
-    /// [`collect_runs`](Self::collect_runs).
+    /// The per-repetition seeds, in repetition order: repetition `i` runs
+    /// with [`derive_seed`]`(seed, i)`.
     pub fn seeds(&self) -> Vec<u64> {
         (0..u64::from(self.runs))
             .map(|i| derive_seed(self.seed, i))
             .collect()
-    }
-
-    /// Executes the experiment once per repetition and aggregates metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if runs return different numbers of metrics.
-    pub fn run<F>(&self, mut experiment: F) -> SweepOutcome
-    where
-        F: FnMut(u64) -> Vec<(&'static str, f64)>,
-    {
-        let mut names: Vec<&'static str> = Vec::new();
-        let mut stats: Vec<OnlineStats> = Vec::new();
-        for i in 0..self.runs {
-            let run_seed = derive_seed(self.seed, i as u64);
-            let metrics = experiment(run_seed);
-            if i == 0 {
-                names = metrics.iter().map(|(n, _)| *n).collect();
-                stats = vec![OnlineStats::new(); metrics.len()];
-            }
-            assert_eq!(
-                metrics.len(),
-                stats.len(),
-                "every run must return the same metrics"
-            );
-            for (j, (_, v)) in metrics.into_iter().enumerate() {
-                stats[j].push(v);
-            }
-        }
-        SweepOutcome {
-            runs: self.runs,
-            names,
-            stats,
-        }
-    }
-
-    /// Aggregates pre-computed per-run metric vectors, one per repetition
-    /// in repetition order — the commit half of the parallel path.
-    ///
-    /// `collect_runs(runs)` equals `run(f)` whenever `runs[i] ==
-    /// f(seeds()[i])`: the fold is the same streaming push, in the same
-    /// order, as the sequential loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs.len()` differs from [`runs`](Self::runs) or the
-    /// metric vectors disagree in length.
-    pub fn collect_runs(&self, runs: Vec<Vec<(&'static str, f64)>>) -> SweepOutcome {
-        assert_eq!(
-            runs.len(),
-            self.runs as usize,
-            "one metric vector per repetition is required"
-        );
-        let mut names: Vec<&'static str> = Vec::new();
-        let mut stats: Vec<OnlineStats> = Vec::new();
-        for (i, metrics) in runs.into_iter().enumerate() {
-            if i == 0 {
-                names = metrics.iter().map(|(n, _)| *n).collect();
-                stats = vec![OnlineStats::new(); metrics.len()];
-            }
-            assert_eq!(
-                metrics.len(),
-                stats.len(),
-                "every run must return the same metrics"
-            );
-            for (j, (_, v)) in metrics.into_iter().enumerate() {
-                stats[j].push(v);
-            }
-        }
-        SweepOutcome {
-            runs: self.runs,
-            names,
-            stats,
-        }
-    }
-}
-
-/// Aggregated results of a [`Repetitions::run`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepOutcome {
-    runs: u32,
-    names: Vec<&'static str>,
-    stats: Vec<OnlineStats>,
-}
-
-impl SweepOutcome {
-    /// Number of runs aggregated.
-    pub fn runs(&self) -> u32 {
-        self.runs
-    }
-
-    /// Names of the metrics, in the order returned by the experiment.
-    pub fn metric_names(&self) -> &[&'static str] {
-        &self.names
-    }
-
-    /// Mean of the named metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no metric has that name.
-    pub fn mean(&self, name: &str) -> f64 {
-        self.stats_for(name).mean()
-    }
-
-    /// Full summary of the named metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no metric has that name.
-    pub fn summary(&self, name: &str) -> Summary {
-        self.stats_for(name).summary()
-    }
-
-    /// Coefficient of variation of the named metric, for checking the
-    /// paper's "< 7 % standard deviation" methodology claim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no metric has that name.
-    pub fn coefficient_of_variation(&self, name: &str) -> f64 {
-        self.stats_for(name).coefficient_of_variation()
-    }
-
-    fn stats_for(&self, name: &str) -> &OnlineStats {
-        let idx = self
-            .names
-            .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| panic!("unknown metric {name:?}"));
-        &self.stats[idx]
     }
 }
 
@@ -263,75 +117,16 @@ mod tests {
     }
 
     #[test]
-    fn repetitions_aggregate() {
-        let outcome = Repetitions::new(10, 99).run(|_| vec![("a", 2.0), ("b", 4.0)]);
-        assert_eq!(outcome.runs(), 10);
-        assert_eq!(outcome.mean("a"), 2.0);
-        assert_eq!(outcome.mean("b"), 4.0);
-        assert_eq!(outcome.summary("a").count, 10);
-        assert_eq!(outcome.coefficient_of_variation("a"), 0.0);
-    }
-
-    #[test]
-    fn repetitions_pass_distinct_seeds() {
-        let mut seeds = Vec::new();
-        Repetitions::new(5, 123).run(|s| {
-            seeds.push(s);
-            vec![("x", 0.0)]
-        });
-        let mut dedup = seeds.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 5);
-    }
-
-    #[test]
-    fn collect_runs_equals_run() {
-        let reps = Repetitions::new(25, 4242);
-        let f = |seed: u64| {
-            vec![
-                ("m1", (seed % 97) as f64),
-                ("m2", (seed % 13) as f64 * 0.5),
-            ]
-        };
-        let sequential = reps.run(f);
-        let collected = reps.collect_runs(reps.seeds().into_iter().map(f).collect());
-        assert_eq!(collected, sequential);
-    }
-
-    #[test]
-    fn seeds_match_run_order() {
+    fn seeds_follow_repetition_order() {
         let reps = Repetitions::new(6, 77);
-        let mut observed = Vec::new();
-        reps.run(|s| {
-            observed.push(s);
-            vec![("x", 0.0)]
-        });
-        assert_eq!(reps.seeds(), observed);
-    }
-
-    #[test]
-    #[should_panic(expected = "one metric vector per repetition")]
-    fn collect_runs_rejects_wrong_count() {
-        Repetitions::new(3, 0).collect_runs(vec![vec![("a", 1.0)]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown metric")]
-    fn unknown_metric_panics() {
-        let outcome = Repetitions::new(2, 0).run(|_| vec![("a", 1.0)]);
-        outcome.mean("nope");
+        let expected: Vec<u64> = (0..6).map(|i| derive_seed(77, i)).collect();
+        assert_eq!(reps.seeds(), expected);
     }
 
     #[test]
     #[should_panic(expected = "at least one run")]
     fn zero_runs_panics() {
         Repetitions::new(0, 0);
-    }
-
-    #[test]
-    fn paper_default_is_100() {
-        assert_eq!(Repetitions::paper_default(0).runs(), 100);
     }
 
     #[test]

@@ -4,12 +4,9 @@
 //! trace *consumption* (many simulator configurations). [`TraceRecorder`]
 //! captures the scheduler's reference stream into a [`Trace`] that can be
 //! replayed into any number of [`MemorySystem`]s without re-running the
-//! scheduler, and serialized to a simple line-oriented text format for
-//! archiving or external tools.
+//! scheduler.
 
-use std::fmt::Write as _;
-
-use crate::ops::{classify, MemorySystem, RefKind};
+use crate::ops::{MemorySystem, RefKind};
 
 /// One recorded memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,11 +29,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The recorded references in issue order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
@@ -63,78 +55,6 @@ impl Trace {
         for r in &self.records {
             mem.access(r.proc as usize, r.addr, r.write, r.kind);
         }
-    }
-
-    /// Serializes to the line format `proc r|w hex-address` (the kind is
-    /// re-derived from the address on load).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use abs_trace::record::{Trace, TraceRecorder};
-    /// use abs_trace::ops::{MemorySystem, RefKind};
-    ///
-    /// let mut rec = TraceRecorder::new();
-    /// rec.access(3, 0x100, true, RefKind::Shared);
-    /// let trace = rec.into_trace();
-    /// let text = trace.to_text();
-    /// let back = Trace::from_text(&text).unwrap();
-    /// assert_eq!(back, trace);
-    /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 16);
-        let _ = writeln!(out, "# abs-trace v1 cycles={}", self.cycles);
-        for r in &self.records {
-            let rw = if r.write { 'w' } else { 'r' };
-            let _ = writeln!(out, "{} {} {:x}", r.proc, rw, r.addr);
-        }
-        out
-    }
-
-    /// Parses the [`Trace::to_text`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut trace = Trace::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('#') {
-                if let Some(c) = header.split("cycles=").nth(1) {
-                    trace.cycles = c
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("line {}: bad cycle count: {e}", lineno + 1))?;
-                }
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (Some(p), Some(rw), Some(a)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(format!("line {}: expected `proc r|w addr`", lineno + 1));
-            };
-            let proc: u32 = p
-                .parse()
-                .map_err(|e| format!("line {}: bad processor: {e}", lineno + 1))?;
-            let write = match rw {
-                "r" => false,
-                "w" => true,
-                other => return Err(format!("line {}: bad r/w flag {other:?}", lineno + 1)),
-            };
-            let addr = u64::from_str_radix(a, 16)
-                .map_err(|e| format!("line {}: bad address: {e}", lineno + 1))?;
-            trace.records.push(TraceRecord {
-                proc,
-                addr,
-                write,
-                kind: classify(addr),
-            });
-        }
-        Ok(trace)
     }
 }
 
@@ -223,14 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let trace = toy_trace();
-        let text = trace.to_text();
-        let back = Trace::from_text(&text).expect("roundtrip parses");
-        assert_eq!(back, trace);
-    }
-
-    #[test]
     fn replay_into_coherence_equals_direct_drive() {
         // Equivalence of post-mortem replay and live driving: the counting
         // consumer sees identical classifications either way.
@@ -240,32 +152,5 @@ mod tests {
         let mut again = CountingConsumer::new();
         trace.replay(&mut again);
         assert_eq!(replayed, again);
-    }
-
-    #[test]
-    fn parse_errors_are_descriptive() {
-        assert!(Trace::from_text("x r 10").unwrap_err().contains("processor"));
-        assert!(Trace::from_text("1 z 10").unwrap_err().contains("r/w"));
-        assert!(Trace::from_text("1 r zz").unwrap_err().contains("address"));
-        assert!(Trace::from_text("1 r").unwrap_err().contains("expected"));
-        assert!(Trace::from_text("# abs-trace v1 cycles=nope")
-            .unwrap_err()
-            .contains("cycle count"));
-    }
-
-    #[test]
-    fn empty_and_comment_lines_skipped() {
-        let t = Trace::from_text("\n# comment\n\n0 r ff\n").unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.records()[0].addr, 0xff);
-        assert!(!t.records()[0].write);
-    }
-
-    #[test]
-    fn kinds_rederived_on_load() {
-        let flag = crate::ops::SYNC_BASE;
-        let text = format!("0 w {:x}\n", flag);
-        let t = Trace::from_text(&text).unwrap();
-        assert_eq!(t.records()[0].kind, RefKind::Sync);
     }
 }
