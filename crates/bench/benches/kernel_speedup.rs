@@ -6,9 +6,9 @@
 //! machine-readable speedup table `repro_out/bench_kernel_speedup.json`
 //! (`ABS_BENCH_OUT` overrides the directory) — one row per sweep point
 //! with the median and MAD ns per episode under each kernel and the
-//! ratio. CI uploads this file, `repro sentinel` compares it against the
-//! committed baseline under `repro_out/baselines/`, and EXPERIMENTS.md
-//! cites it.
+//! ratio. The table feeds EXPERIMENTS.md's kernel-speedup table and CI
+//! uploads it as an artifact; no gate reads it. Speed regressions are
+//! gated by `repro sentinel` on paired perfbench runs instead.
 //!
 //! The two kernels are bit-identical (enforced by the `kernel_equivalence`
 //! suite), so every row is the same computation twice — the ratio is pure
@@ -16,9 +16,8 @@
 //!
 //! A **mega-N** section rides on the same table (the top-level
 //! `event_only` array): barrier episodes at `N` where the cycle stepper is
-//! intractable, timed under the event kernel alone. The sentinel ignores
-//! this array (its points have no cycle column); the `N = 2²⁰` point only
-//! runs with `ABS_BENCH_MEGA=1`.
+//! intractable, timed under the event kernel alone (no cycle column, so
+//! no ratio); the `N = 2²⁰` point only runs with `ABS_BENCH_MEGA=1`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -193,9 +192,8 @@ fn main() {
         group.finish();
     }
 
-    // Fold the per-kernel medians (and MADs, which `repro sentinel` uses
-    // to widen its tolerance on noisy points) into the speedup table
-    // before `finish` consumes the runner.
+    // Fold the per-kernel medians and MADs into the speedup table before
+    // `finish` consumes the runner; the MADs show which rows are noisy.
     let find = |group: &str, id: &str| {
         bench
             .reports()

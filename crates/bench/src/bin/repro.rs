@@ -11,7 +11,7 @@
 //! cargo run -p abs-bench --release --bin repro -- --kernel cycle fig7
 //! cargo run -p abs-bench --release --bin repro -- --list
 //! cargo run -p abs-bench --release --bin repro -- analyze repro_out/t.json
-//! cargo run -p abs-bench --release --bin repro -- sentinel --json
+//! cargo run -p abs-bench --release --bin repro -- sentinel base.txt head.txt
 //! ```
 //!
 //! `--kernel` selects the simulation kernel: `event` (default) is the
@@ -38,10 +38,13 @@
 //!
 //! `repro analyze <trace.json>` replays the abs-insight passes over such a
 //! trace: cycle attribution (with the conservation invariant), barrier
-//! episode extraction, and per-tenant SLO timelines. `repro sentinel`
-//! compares a fresh `repro_out/bench_kernel_speedup.json` (written by
-//! `cargo bench --bench kernel_speedup`) against the committed baseline
-//! under `repro_out/baselines/` and exits 1 on regression.
+//! episode extraction, and per-tenant SLO timelines.
+//!
+//! `repro sentinel <base> <head>` is the perf gate: it pairs perfbench
+//! `--trace 0` result lines of two commits measured on one host (line i
+//! of one file with line i of the other), holds every end-to-end metric
+//! to its `BENCHMARK.json` bound, writes `repro_out/sentinel_report.json`
+//! and exits 1 on regression.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -73,12 +76,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         Parsed::Analyze { file, json } => analyze(&file, json),
-        Parsed::Sentinel {
-            baseline,
-            fresh,
-            tolerance,
-            json,
-        } => sentinel(baseline, fresh, tolerance, json),
+        Parsed::Sentinel { base, head } => sentinel(&base, &head),
         Parsed::Run(options) => run(options),
     }
 }
@@ -140,68 +138,39 @@ fn analyze(file: &std::path::Path, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro sentinel`: compare fresh kernel-speedup medians against the
-/// committed baseline. Exit code: 0 clean, 1 regression, 2 unreadable
-/// input.
-fn sentinel(
-    baseline: Option<PathBuf>,
-    fresh: Option<PathBuf>,
-    tolerance: Option<f64>,
-    json: bool,
-) -> ExitCode {
-    let out_dir = default_out_dir();
-    let baseline_path =
-        baseline.unwrap_or_else(|| out_dir.join("baselines/bench_kernel_speedup.json"));
-    // The pre-rename artifact is accepted as a fallback so a stale working
-    // tree still gets a verdict, with a nudge toward the canonical name.
-    let fresh_path = fresh.unwrap_or_else(|| {
-        let canonical = out_dir.join("bench_kernel_speedup.json");
-        let legacy = out_dir.join("BENCH_kernel.json");
-        if !canonical.exists() && legacy.exists() {
-            eprintln!(
-                "repro sentinel: {} not found; falling back to legacy {} — rerun \
-                 `cargo bench --bench kernel_speedup` to regenerate the canonical name",
-                canonical.display(),
-                legacy.display()
-            );
-            legacy
-        } else {
-            canonical
-        }
-    });
-    let load = |path: &std::path::Path| -> Result<Vec<abs_insight::sentinel::SpeedupPoint>, String> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        abs_insight::sentinel::parse_speedup(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))
+/// `repro sentinel <base> <head>`: gate paired perfbench runs of two
+/// commits on `BENCHMARK.json`'s end-to-end bounds. Exit code: 0 clean
+/// (unresolved rows included), 1 regression, 2 bad input.
+fn sentinel(base: &std::path::Path, head: &std::path::Path) -> ExitCode {
+    use abs_insight::sentinel::{compare, parse_benchmark, parse_runs, Verdict};
+    let read = |path: &std::path::Path| {
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
     };
-    let (base, fresh) = match (load(&baseline_path), load(&fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
+    let benchmark = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCHMARK.json");
+    let runs = |path: &std::path::Path| {
+        parse_runs(&read(path)?).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let report = read(&benchmark)
+        .and_then(|text| parse_benchmark(&text))
+        .and_then(|metrics| compare(&metrics, &runs(base)?, &runs(head)?));
+    let report = match report {
+        Ok(report) => report,
+        Err(e) => {
             eprintln!("repro sentinel: {e}");
             return ExitCode::from(2);
         }
     };
-    let mut config = abs_insight::sentinel::SentinelConfig::default();
-    if let Some(t) = tolerance {
-        config.rel_tol = t;
-    }
-    let report = abs_insight::sentinel::compare(&base, &fresh, &config);
     print!("{}", report.to_text());
-    if json {
-        let path = out_dir.join("sentinel_report.json");
-        if let Err(e) = fs::create_dir_all(&out_dir)
-            .map_err(|e| e.to_string())
-            .and_then(|()| {
-                fs::write(&path, report.to_json().render_pretty()).map_err(|e| e.to_string())
-            })
-        {
-            eprintln!("repro sentinel: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("wrote {}", path.display());
+    let out_dir = default_out_dir();
+    let path = out_dir.join("sentinel_report.json");
+    if let Err(e) = fs::create_dir_all(&out_dir)
+        .and_then(|()| fs::write(&path, report.to_json().render_pretty()))
+    {
+        eprintln!("repro sentinel: cannot write {}: {e}", path.display());
+        return ExitCode::from(2);
     }
-    if report.is_clean() {
+    eprintln!("wrote {}", path.display());
+    if report.count(Verdict::Regressed) == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -65,10 +65,7 @@ pub struct CliOptions {
 }
 
 /// What `main` should do with the parsed arguments.
-///
-/// Not `Eq` because [`Parsed::Sentinel`] carries the `--tolerance`
-/// fraction as an `f64`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Parsed {
     /// Run the targets.
     Run(CliOptions),
@@ -84,17 +81,13 @@ pub enum Parsed {
         /// Also write `repro_out/analysis_<stem>.json`.
         json: bool,
     },
-    /// Compare fresh kernel-speedup medians against the committed baseline
-    /// (`repro sentinel [--baseline F] [--fresh F] [--tolerance T] [--json]`).
+    /// Gate paired perfbench runs of two commits
+    /// (`repro sentinel <base> <head>`).
     Sentinel {
-        /// Baseline artifact (default: `repro_out/baselines/bench_kernel_speedup.json`).
-        baseline: Option<PathBuf>,
-        /// Fresh artifact (default: `repro_out/bench_kernel_speedup.json`).
-        fresh: Option<PathBuf>,
-        /// Relative regression tolerance override, in (0, 1).
-        tolerance: Option<f64>,
-        /// Also write `repro_out/sentinel_report.json`.
-        json: bool,
+        /// Result lines of the base commit.
+        base: PathBuf,
+        /// Result lines of the head commit, paired line by line.
+        head: PathBuf,
     },
     /// Reject the invocation with this message.
     Error(String),
@@ -140,53 +133,24 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
         };
         return Parsed::Analyze { file, json };
     }
-    // `repro sentinel` compares a fresh kernel-speedup artifact against the
-    // committed baseline and exits nonzero on regression.
+    // `repro sentinel <base> <head>` gates paired perfbench result lines of
+    // two commits; the metrics and bounds come from BENCHMARK.json.
     if args.peek().map(String::as_str) == Some("sentinel") {
         args.next();
-        let mut baseline: Option<PathBuf> = None;
-        let mut fresh: Option<PathBuf> = None;
-        let mut tolerance: Option<f64> = None;
-        let mut json = false;
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--json" => json = true,
-                "--baseline" => {
-                    let Some(v) = args.next() else {
-                        return Parsed::Error("--baseline needs a file path".into());
-                    };
-                    baseline = Some(PathBuf::from(v));
-                }
-                "--fresh" => {
-                    let Some(v) = args.next() else {
-                        return Parsed::Error("--fresh needs a file path".into());
-                    };
-                    fresh = Some(PathBuf::from(v));
-                }
-                "--tolerance" => {
-                    let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                        return Parsed::Error("--tolerance needs a number in (0, 1)".into());
-                    };
-                    if !v.is_finite() || v <= 0.0 || v >= 1.0 {
-                        return Parsed::Error(
-                            "--tolerance must be a fraction in (0, 1), e.g. 0.15".into(),
-                        );
-                    }
-                    tolerance = Some(v);
-                }
-                other => {
-                    return Parsed::Error(format!(
-                        "unknown sentinel argument {other:?}; usage: repro sentinel \
-                         [--baseline F] [--fresh F] [--tolerance T] [--json]"
-                    ));
-                }
-            }
+        let files: Vec<String> = args.collect();
+        let [base, head] = files.as_slice() else {
+            return Parsed::Error(
+                "sentinel needs two files; usage: repro sentinel <base> <head>".into(),
+            );
+        };
+        if files.iter().any(|f| f.starts_with('-')) {
+            return Parsed::Error(format!(
+                "sentinel takes no options, got {files:?}; usage: repro sentinel <base> <head>"
+            ));
         }
         return Parsed::Sentinel {
-            baseline,
-            fresh,
-            tolerance,
-            json,
+            base: PathBuf::from(base),
+            head: PathBuf::from(head),
         };
     }
     while let Some(arg) = args.next() {
@@ -342,7 +306,7 @@ pub fn help() -> String {
         \x20            [--csv DIR] [--trace FILE] [--metrics]\n\
         \x20            [--load R] [--tenants N] [--sched P] <id>... | all\n\
         \x20       repro analyze <trace.json> [--json]\n\
-        \x20       repro sentinel [--baseline F] [--fresh F] [--tolerance T] [--json]\n\n\
+        \x20       repro sentinel <base> <head>\n\n\
          --jobs N    run exhibits on N worker threads (default: available\n\
         \x20            parallelism); output is bit-identical at any N\n\
          --kernel K  simulation kernel: event (default, skip-ahead) or\n\
@@ -363,8 +327,10 @@ pub fn help() -> String {
          analyze     run the abs-insight passes (cycle attribution, barrier\n\
         \x20            episodes, per-tenant SLO timelines) over a --trace\n\
         \x20            file; --json also writes repro_out/analysis_<stem>.json\n\
-         sentinel    compare a fresh repro_out/bench_kernel_speedup.json\n\
-        \x20            against repro_out/baselines/; exits 1 on regression\n\n\
+         sentinel    gate paired perfbench --trace 0 result lines of two\n\
+        \x20            commits run on one host, with BENCHMARK.json's\n\
+        \x20            end-to-end bounds; exits 1 on regression and writes\n\
+        \x20            repro_out/sentinel_report.json\n\n\
          experiments: {}\n\
          (run `repro --list` for one-line descriptions)",
         IDS.join(" ")
@@ -570,47 +536,24 @@ mod tests {
     #[test]
     fn sentinel_subcommand_parses() {
         assert_eq!(
-            parse(&["sentinel"]),
+            parse(&["sentinel", "base.txt", "head.txt"]),
             Parsed::Sentinel {
-                baseline: None,
-                fresh: None,
-                tolerance: None,
-                json: false
+                base: PathBuf::from("base.txt"),
+                head: PathBuf::from("head.txt"),
             }
         );
-        assert_eq!(
-            parse(&[
-                "sentinel", "--baseline", "b.json", "--fresh", "f.json", "--tolerance", "0.2",
-                "--json"
-            ]),
-            Parsed::Sentinel {
-                baseline: Some(PathBuf::from("b.json")),
-                fresh: Some(PathBuf::from("f.json")),
-                tolerance: Some(0.2),
-                json: true
-            }
-        );
-    }
-
-    #[test]
-    fn sentinel_rejects_bad_tolerance() {
-        for bad in ["0", "1", "-0.1", "1.5", "inf", "nan", "x"] {
-            assert!(
-                matches!(parse(&["sentinel", "--tolerance", bad]), Parsed::Error(_)),
-                "tolerance {bad:?} should be rejected"
-            );
-        }
-        assert!(matches!(parse(&["sentinel", "--tolerance"]), Parsed::Error(_)));
-        assert!(matches!(parse(&["sentinel", "--baseline"]), Parsed::Error(_)));
-        assert!(matches!(parse(&["sentinel", "extra"]), Parsed::Error(_)));
+        // Exactly two files and no options.
+        assert!(matches!(parse(&["sentinel"]), Parsed::Error(_)));
+        assert!(matches!(parse(&["sentinel", "base.txt"]), Parsed::Error(_)));
+        assert!(matches!(parse(&["sentinel", "a", "b", "c"]), Parsed::Error(_)));
+        assert!(matches!(parse(&["sentinel", "a", "--json"]), Parsed::Error(_)));
     }
 
     #[test]
     fn help_mentions_analyze_and_sentinel() {
         let h = help();
         assert!(h.contains("repro analyze"), "{h}");
-        assert!(h.contains("repro sentinel"), "{h}");
-        assert!(h.contains("--tolerance"), "{h}");
+        assert!(h.contains("repro sentinel <base> <head>"), "{h}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `repro analyze` imports it and must produce a conserved cycle
 //! attribution whose bytes are identical at any `--jobs` count (the trace
 //! is, so the analysis — a pure function of the trace — must be too).
-//! The sentinel path: a fresh kernel-speedup artifact equal to the
-//! baseline passes with exit 0; an injected ≥20 % slowdown exits 1.
+//! The sentinel path: paired perfbench result lines with head's `wall_s`
+//! 30 % slower exit 1; files that do not pair exit 2.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -116,93 +116,61 @@ fn analyze_rejects_garbage_input() {
     assert_eq!(missing.status.code(), Some(2), "{}", stderr(&missing));
 }
 
-/// A minimal kernel-speedup artifact with the given event-kernel medians.
-fn speedup_json(event_ns: &[(f64, f64)]) -> String {
-    let points: Vec<String> = event_ns
-        .iter()
-        .enumerate()
-        .map(|(i, (ns, mad))| {
-            format!(
-                "    {{\"point\": \"p{i}\", \"cycle_ns\": 1000.0, \"cycle_mad_ns\": 4.0, \
-                 \"event_ns\": {ns:.1}, \"event_mad_ns\": {mad:.1}, \"speedup\": {:.2}}}",
-                1000.0 / ns
-            )
+/// `n` perfbench result lines of one workload, every end-to-end metric of
+/// `BENCHMARK.json` at 10 except `wall_s` at `10 × wall(i)`.
+fn result_lines(workload: &str, n: usize, wall: impl Fn(usize) -> f64) -> String {
+    let benchmark = include_str!("../../../BENCHMARK.json");
+    let metrics = abs_insight::sentinel::parse_benchmark(benchmark).expect("BENCHMARK.json parses");
+    (0..n)
+        .map(|i| {
+            let metrics: Vec<String> = metrics
+                .iter()
+                .map(|m| {
+                    let v = if m.name == "wall_s" { 10.0 * wall(i) } else { 10.0 };
+                    format!("\"{}\":{{\"value\":{v},\"unit\":\"s\"}}", m.name)
+                })
+                .collect();
+            let metrics = metrics.join(",");
+            format!("{workload} {{\"attempted\":40,\"failed\":0,\"metrics\":{{{metrics}}}}}\n")
         })
-        .collect();
-    format!(
-        "{{\n  \"runner\": \"kernel_speedup\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        points.join(",\n")
-    )
+        .collect()
 }
 
 #[test]
-fn sentinel_passes_on_matching_artifacts_and_flags_slowdowns() {
+fn sentinel_fails_a_30_percent_slowdown_of_paired_runs() {
     let dir = tmpdir("insight_cli_sentinel");
-    let baseline = dir.join("baseline.json");
-    let clean = dir.join("fresh_clean.json");
-    let slow = dir.join("fresh_slow.json");
-    std::fs::write(&baseline, speedup_json(&[(100.0, 1.0), (200.0, 2.0)])).unwrap();
-    std::fs::write(&clean, speedup_json(&[(101.0, 1.0), (199.0, 2.0)])).unwrap();
-    // 25 % slower event kernel on the first point: a 20 % speedup drop,
-    // well past the default 15 % tolerance.
-    std::fs::write(&slow, speedup_json(&[(125.0, 1.0), (200.0, 2.0)])).unwrap();
+    let base = dir.join("base.txt");
+    let head = dir.join("head.txt");
+    std::fs::write(&base, result_lines("barrier_paper", 5, |_| 1.0)).unwrap();
+    std::fs::write(&head, result_lines("barrier_paper", 5, |_| 1.0)).unwrap();
+    let same = repro(&["sentinel", base.to_str().unwrap(), head.to_str().unwrap()]);
+    assert!(same.status.success(), "{}{}", stdout(&same), stderr(&same));
+    assert!(stdout(&same).contains("11 ok, 0 unresolved, 0 REGRESSED"), "{}", stdout(&same));
 
-    let ok = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        clean.to_str().unwrap(),
-    ]);
-    assert!(ok.status.success(), "clean sentinel failed:\n{}", stdout(&ok));
-    assert!(stdout(&ok).contains("ok"), "{}", stdout(&ok));
-
-    let bad = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        slow.to_str().unwrap(),
-    ]);
-    assert_eq!(bad.status.code(), Some(1), "slowdown must exit 1");
-    assert!(stdout(&bad).contains("REGRESSED"), "{}", stdout(&bad));
-
-    // A missing fresh artifact is an input error, not a regression.
-    let missing = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        dir.join("absent.json").to_str().unwrap(),
-    ]);
-    assert_eq!(missing.status.code(), Some(2), "{}", stderr(&missing));
+    // ±1 % jitter around 1.30×: past the 0.25 bound and clear of the noise.
+    let jitter = [1.0, 1.01, 0.99, 1.005, 0.995];
+    std::fs::write(&head, result_lines("barrier_paper", 5, |i| 1.30 * jitter[i])).unwrap();
+    let slow = repro(&["sentinel", base.to_str().unwrap(), head.to_str().unwrap()]);
+    assert_eq!(slow.status.code(), Some(1), "{}{}", stdout(&slow), stderr(&slow));
+    let text = stdout(&slow);
+    assert!(
+        text.lines()
+            .any(|l| l.contains("wall_s") && l.contains("REGRESSED")),
+        "{text}"
+    );
 }
 
 #[test]
-fn sentinel_tolerance_flag_widens_the_verdict() {
-    let dir = tmpdir("insight_cli_tolerance");
-    let baseline = dir.join("baseline.json");
-    let slow = dir.join("fresh.json");
-    std::fs::write(&baseline, speedup_json(&[(100.0, 0.1)])).unwrap();
-    std::fs::write(&slow, speedup_json(&[(125.0, 0.1)])).unwrap();
-
-    let strict = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        slow.to_str().unwrap(),
-    ]);
-    assert_eq!(strict.status.code(), Some(1));
-
-    let lax = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        slow.to_str().unwrap(),
-        "--tolerance",
-        "0.5",
-    ]);
-    assert!(lax.status.success(), "{}", stdout(&lax));
+fn sentinel_rejects_inputs_that_do_not_pair() {
+    let dir = tmpdir("insight_cli_sentinel_mismatch");
+    let base = dir.join("base.txt");
+    let short = dir.join("short.txt");
+    let other = dir.join("other.txt");
+    std::fs::write(&base, result_lines("barrier_paper", 5, |_| 1.0)).unwrap();
+    std::fs::write(&short, result_lines("barrier_paper", 4, |_| 1.0)).unwrap();
+    std::fs::write(&other, result_lines("extensions_mix", 5, |_| 1.0)).unwrap();
+    for head in [&short, &other, &dir.join("absent.txt")] {
+        let out = repro(&["sentinel", base.to_str().unwrap(), head.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{}{}", stdout(&out), stderr(&out));
+    }
 }

@@ -1060,6 +1060,42 @@ mod tests {
     }
 
     #[test]
+    fn model1_is_an_identity_without_backoff_at_simultaneous_arrival() {
+        // With no backoff and A = 0 every process presents one access per
+        // cycle from cycle 0 until a served flag read shows the flag set.
+        // The flag is written at F = flag_set_at; after that the flag
+        // module serves one reader per cycle, so the total is N·F plus the
+        // drain 0 + 1 + … + (N − 1): N·(N + 2F)/2 to within half an access
+        // per process (Model 1's 5N/2 is the case E[F] = 2N), under every
+        // arbitration and either kernel.
+        use abs_sim::check::{self, Config};
+        use abs_sim::forall;
+        let (cases, max_n) = if cfg!(debug_assertions) { (32, 256) } else { (128, 512) };
+        forall!(Config::with_cases(cases), (
+            n in check::usize_in(1..max_n + 1),
+            seed in check::any_u64(),
+        ) {
+            for arb in Arbitration::ALL {
+                let sim = BarrierSim::new(
+                    BarrierConfig::new(n, 0).with_arbitration(arb),
+                    BackoffPolicy::None,
+                );
+                for kernel in Kernel::ALL {
+                    let run = sim.run_with(seed, kernel);
+                    let n = n as i128;
+                    let twice_total = 2 * i128::from(run.total_accesses());
+                    let model = n * (n + 2 * i128::from(run.flag_set_at()));
+                    assert!(
+                        (twice_total - model).abs() <= n,
+                        "N {n} seed {seed} {arb:?} {kernel:?}: 2·total {twice_total}, \
+                         N·(N + 2F) {model}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "at least one processor")]
     fn zero_processors_rejected() {
         BarrierConfig::new(0, 10);

@@ -19,9 +19,10 @@
 //! * [`slo`] — per-tenant SLO timelines for open-loop (`abs-load`) runs:
 //!   windowed completion rate, queue depth, and wait quantiles, making
 //!   starvation visible over time.
-//! * [`sentinel`] — the perf-regression sentinel behind `repro sentinel`:
-//!   compares a fresh `bench_kernel_speedup.json` against the committed
-//!   baseline under `repro_out/baselines/` with median/MAD tolerances.
+//! * [`sentinel`] — the perf gate behind `repro sentinel <base> <head>`:
+//!   pairs perfbench result lines of two commits run on one host and holds
+//!   each end-to-end metric's paired median ratio to its `BENCHMARK.json`
+//!   bound, with a MAD band that marks noisy crossings unresolved.
 //! * [`import`] — reads `repro --trace` Chrome documents back into unit
 //!   event lists, so analysis runs the same on a live ring or a file.
 //! * [`analyze`] — the `repro analyze` orchestration: every pass a unit

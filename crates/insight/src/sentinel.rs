@@ -1,133 +1,151 @@
-//! The perf-regression sentinel: compares a fresh kernel-speedup table
-//! against a committed baseline with median/MAD-based tolerances.
+//! The perf gate behind `repro sentinel`: a same-host A/B comparison of
+//! paired perfbench runs.
 //!
-//! Both sides are `repro_out/bench_kernel_speedup.json` artifacts written
-//! by `benches/kernel_speedup.rs`: per acceptance point, the median and
-//! median-absolute-deviation wall time of the cycle-stepper oracle and the
-//! event kernel. Absolute nanoseconds are not portable across hosts, so
-//! the sentinel compares the dimensionless **speedup ratio**
-//! (`cycle_ns / event_ns`): a point regresses when
+//! Both inputs are files of perfbench `--trace 0` result lines, one run
+//! per line, written as `<workload> <result-json>`, where `<result-json>`
+//! is the last line perfbench prints (`correct`, `attempted`, `failed`,
+//! `metrics`). Line i of the base file pairs with line i of the head
+//! file: the two runs were made back to back on one host, with the side
+//! that runs first alternating from pair to pair, so host drift falls on
+//! both sides of a pair alike. The gated metrics, which way each one is
+//! better and how far it may get worse all come from the `end_to_end`
+//! list of `BENCHMARK.json`, so the gate has no knobs of its own.
+//!
+//! For each workload and metric, take the paired ratios
+//! `r_i = head_i / base_i`, inverted for `better: higher` metrics so that
+//! `r > 1` always means worse. Then
 //!
 //! ```text
-//! fresh_speedup < baseline_speedup × (1 − tol)
-//! tol = max(rel_tol, noise_mult × noise)
-//! noise = √( Σ (mad/median)² over both sides' cycle and event columns )
+//! REGRESSED   median(r) > 1 + bound  and  median(r) − 3·MAD(r) > 1
+//! unresolved  median(r) > 1 + bound  and  median(r) − 3·MAD(r) ≤ 1
+//! ok          otherwise
 //! ```
 //!
-//! i.e. the configured relative tolerance, widened when either measurement
-//! was noisy. Baseline points missing from the fresh table count as
-//! regressions; fresh-only points are reported as additions but never fail.
-//!
-//! Per-point tolerances alone would let a *uniform* slowdown hide inside
-//! each point's noise band, so the report also holds the **median delta**
-//! across all measured points (at least [`AGGREGATE_MIN_POINTS`] of them)
-//! to `rel_tol` with no noise widening: the median of a fleet shifting
-//! together is far less noisy than any single point.
+//! An unresolved row is printed but does not fail: the median crossed
+//! the bound, but the pairs scatter too widely to say that head is worse
+//! at all. Each workload also gets a `failed_frac` row, REGRESSED when any
+//! head run fails a larger share of its simulations than its paired base
+//! run.
 
 use abs_exec::json::Value;
-use abs_sim::stats::median;
+use abs_sim::stats::{median, median_abs_deviation};
 use abs_sim::table::{fmt_f64, fmt_percent, Table};
 
-/// Fewest measured points for the aggregate median-delta check to apply
-/// (below this, a median is no steadier than the points themselves).
-pub const AGGREGATE_MIN_POINTS: usize = 3;
-
-/// One row of a kernel-speedup artifact.
+/// One end-to-end metric of `BENCHMARK.json`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupPoint {
-    /// The acceptance-point label (e.g. `barrier N=512 A=1000 exp-8`).
-    pub point: String,
-    /// Median wall time of the cycle-stepper oracle, nanoseconds.
-    pub cycle_ns: f64,
-    /// MAD of the cycle-stepper samples (0 for legacy artifacts).
-    pub cycle_mad_ns: f64,
-    /// Median wall time of the event kernel, nanoseconds.
-    pub event_ns: f64,
-    /// MAD of the event-kernel samples (0 for legacy artifacts).
-    pub event_mad_ns: f64,
+pub struct Metric {
+    /// The metric's key in perfbench's result `metrics` object.
+    pub name: String,
+    /// `better: higher` (a rate); otherwise lower is better.
+    pub higher_is_better: bool,
+    /// How far the paired median may get worse, as a fraction.
+    pub bound: f64,
 }
 
-impl SpeedupPoint {
-    /// The dimensionless speedup ratio the sentinel compares.
-    pub fn speedup(&self) -> f64 {
-        self.cycle_ns / self.event_ns
-    }
-
-    /// Relative measurement noise: `√((cycle_mad/cycle)² + (event_mad/event)²)`.
-    pub fn rel_noise(&self) -> f64 {
-        let c = self.cycle_mad_ns / self.cycle_ns;
-        let e = self.event_mad_ns / self.event_ns;
-        (c * c + e * e).sqrt()
-    }
-}
-
-/// Parses a `bench_kernel_speedup.json` artifact (current or legacy
-/// `BENCH_kernel.json` schema — legacy rows lack the MAD columns, which
-/// default to 0).
+/// Reads the `end_to_end` metrics of a `BENCHMARK.json` document.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is not a kernel-speedup artifact
-/// or a row has non-positive medians.
-pub fn parse_speedup(text: &str) -> Result<Vec<SpeedupPoint>, String> {
+/// Returns a message when the list is missing or an entry lacks a name,
+/// a `better` of `lower`/`higher`, or a non-negative `bound`.
+pub fn parse_benchmark(text: &str) -> Result<Vec<Metric>, String> {
     let doc = Value::parse(text)?;
-    if doc.get("runner").and_then(Value::as_str) != Some("kernel_speedup") {
-        return Err("not a kernel-speedup artifact (runner != \"kernel_speedup\")".to_string());
-    }
-    let rows = doc
-        .get("points")
+    let entries = doc
+        .get("end_to_end")
         .and_then(Value::as_array)
-        .ok_or_else(|| "missing points array".to_string())?;
-    let mut points = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let field = |key: &str| row.get(key).and_then(Value::as_f64);
-        let point = SpeedupPoint {
-            point: row
-                .get("point")
+        .ok_or_else(|| "BENCHMARK.json has no end_to_end list".to_string())?;
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let name = entry
+                .get("name")
                 .and_then(Value::as_str)
-                .ok_or_else(|| format!("point {i}: missing name"))?
-                .to_string(),
-            cycle_ns: field("cycle_ns").ok_or_else(|| format!("point {i}: missing cycle_ns"))?,
-            cycle_mad_ns: field("cycle_mad_ns").unwrap_or(0.0),
-            event_ns: field("event_ns").ok_or_else(|| format!("point {i}: missing event_ns"))?,
-            event_mad_ns: field("event_mad_ns").unwrap_or(0.0),
-        };
-        if point.cycle_ns <= 0.0 || point.event_ns <= 0.0 {
-            return Err(format!("point {i} ({}): non-positive median", point.point));
-        }
-        points.push(point);
+                .ok_or_else(|| format!("end_to_end[{i}]: missing name"))?;
+            let higher_is_better = match entry.get("better").and_then(Value::as_str) {
+                Some("higher") => true,
+                Some("lower") => false,
+                _ => return Err(format!("{name}: better must be \"lower\" or \"higher\"")),
+            };
+            let bound = entry
+                .get("bound")
+                .and_then(Value::as_f64)
+                .filter(|b| *b >= 0.0)
+                .ok_or_else(|| format!("{name}: missing or negative bound"))?;
+            Ok(Metric {
+                name: name.to_string(),
+                higher_is_better,
+                bound,
+            })
+        })
+        .collect()
+}
+
+/// One perfbench run: a line `<workload> <result-json>`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The workload the run measured.
+    pub workload: String,
+    /// The result object perfbench printed last.
+    pub result: Value,
+}
+
+impl Run {
+    /// The value of one end-to-end metric, if the run reports it.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.result
+            .get("metrics")?
+            .get(name)?
+            .get("value")?
+            .as_f64()
     }
-    Ok(points)
-}
 
-/// Sentinel tolerances.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SentinelConfig {
-    /// Minimum relative speedup drop tolerated (0.15 = 15 %).
-    pub rel_tol: f64,
-    /// How many combined relative-MAD units of noise to tolerate beyond
-    /// `rel_tol`.
-    pub noise_mult: f64,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        Self {
-            rel_tol: 0.15,
-            noise_mult: 3.0,
-        }
+    /// `failed / attempted` (0 when nothing was attempted).
+    pub fn failed_frac(&self) -> f64 {
+        let count = |key: &str| self.result.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+        count("failed") / count("attempted").max(1.0)
     }
 }
 
-/// One compared point's verdict.
+/// Parses a file of result lines; blank lines are skipped.
+///
+/// # Errors
+///
+/// Returns a message naming the first line that is not
+/// `<workload> <result-json>` with numeric `attempted` and `failed`.
+pub fn parse_runs(text: &str) -> Result<Vec<Run>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            let (workload, json) = line
+                .trim()
+                .split_once(' ')
+                .ok_or_else(|| format!("line {}: expected `<workload> <result-json>`", i + 1))?;
+            let result = Value::parse(json).map_err(|e| format!("line {}: {e}", i + 1))?;
+            if ["attempted", "failed"]
+                .iter()
+                .any(|key| result.get(key).and_then(Value::as_f64).is_none())
+            {
+                return Err(format!("line {}: result lacks attempted/failed", i + 1));
+            }
+            Ok(Run {
+                workload: workload.to_string(),
+                result,
+            })
+        })
+        .collect()
+}
+
+/// One row's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within tolerance (or faster).
+    /// Within the bound, or better.
     Ok,
-    /// Speedup dropped below tolerance.
+    /// The median crossed the bound but the band still reaches 1.
+    Unresolved,
+    /// Worse by more than the bound, clear of the noise.
     Regressed,
-    /// In the baseline but absent from the fresh table.
-    Missing,
 }
 
 impl Verdict {
@@ -135,367 +153,309 @@ impl Verdict {
     pub fn name(self) -> &'static str {
         match self {
             Verdict::Ok => "ok",
+            Verdict::Unresolved => "unresolved",
             Verdict::Regressed => "REGRESSED",
-            Verdict::Missing => "MISSING",
         }
     }
 }
 
-/// One baseline point's comparison.
+/// One (workload, metric) comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SentinelRow {
-    /// The acceptance-point label.
-    pub point: String,
-    /// Baseline speedup ratio.
-    pub baseline: f64,
-    /// Fresh speedup ratio, when the point was measured.
-    pub fresh: Option<f64>,
-    /// Relative change `(fresh − baseline) / baseline`.
-    pub delta: f64,
-    /// The tolerance this row was held to.
-    pub tolerance: f64,
+pub struct Row {
+    /// The workload.
+    pub workload: String,
+    /// The metric, or `failed_frac` for the failure row.
+    pub metric: String,
+    /// The metric's bound (0 for the failure row).
+    pub bound: f64,
+    /// Median and MAD of the paired ratios (`None` for the failure row).
+    pub ratio: Option<(f64, f64)>,
     /// The verdict.
     pub verdict: Verdict,
 }
 
-/// The full sentinel comparison.
+/// The full comparison: per workload (first-appearance order), one row
+/// per metric in `BENCHMARK.json` order, then the failure row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SentinelReport {
-    /// The tolerances used.
-    pub config: SentinelConfig,
-    /// One row per baseline point, baseline order.
-    pub rows: Vec<SentinelRow>,
-    /// Fresh points with no baseline (informational, never failures).
-    pub added: Vec<String>,
+pub struct Report {
+    /// The rows.
+    pub rows: Vec<Row>,
 }
 
-impl SentinelReport {
-    /// Number of regressed or missing points.
-    pub fn regressions(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.verdict != Verdict::Ok)
-            .count()
+impl Report {
+    /// Rows with the given verdict.
+    pub fn count(&self, verdict: Verdict) -> usize {
+        self.rows.iter().filter(|r| r.verdict == verdict).count()
     }
 
-    /// Median relative delta across points measured on both sides.
-    pub fn median_delta(&self) -> Option<f64> {
-        let deltas: Vec<f64> = self
-            .rows
-            .iter()
-            .filter(|r| r.fresh.is_some())
-            .map(|r| r.delta)
-            .collect();
-        if deltas.is_empty() {
-            None
-        } else {
-            Some(median(&deltas))
-        }
-    }
-
-    /// Whether the fleet as a whole regressed: the median delta across at
-    /// least [`AGGREGATE_MIN_POINTS`] measured points dropped past
-    /// `rel_tol`. This catches a uniform slowdown that every individual
-    /// point's noise-widened tolerance would absorb.
-    pub fn aggregate_regressed(&self) -> bool {
-        let measured = self.rows.iter().filter(|r| r.fresh.is_some()).count();
-        measured >= AGGREGATE_MIN_POINTS
-            && self
-                .median_delta()
-                .is_some_and(|d| d < -self.config.rel_tol)
-    }
-
-    /// Whether every baseline point passed and the fleet median held.
-    pub fn is_clean(&self) -> bool {
-        self.regressions() == 0 && !self.aggregate_regressed()
-    }
-
-    /// The comparison table.
-    pub fn to_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "point", "baseline", "fresh", "delta", "tol", "verdict",
-        ])
-        .with_title(format!(
-            "perf sentinel (speedup ratios; rel_tol {}, noise x{})",
-            fmt_percent(self.config.rel_tol),
-            fmt_f64(self.config.noise_mult, 1)
-        ));
-        for row in &self.rows {
-            table.add_row(vec![
-                row.point.clone(),
-                format!("{}x", fmt_f64(row.baseline, 2)),
-                row.fresh
-                    .map_or("-".to_string(), |f| format!("{}x", fmt_f64(f, 2))),
-                fmt_percent(row.delta),
-                fmt_percent(row.tolerance),
-                row.verdict.name().to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// The report as text: the table plus a one-line verdict.
+    /// The report as text: the table plus a one-line summary.
     pub fn to_text(&self) -> String {
-        let mut out = self.to_table().to_string();
-        for point in &self.added {
-            out.push_str(&format!("new point (no baseline): {point}\n"));
+        let headers = vec!["workload", "metric", "bound", "median r", "MAD r", "verdict"];
+        let mut table = Table::new(headers)
+            .with_title("perf sentinel: paired r = head/base, inverted where higher is better");
+        for row in &self.rows {
+            let dash = || "-".to_string();
+            let [median, mad] = row
+                .ratio
+                .map_or([dash(), dash()], |(m, d)| [fmt_f64(m, 3), fmt_f64(d, 3)]);
+            let (workload, metric) = (row.workload.clone(), row.metric.clone());
+            let verdict = row.verdict.name().to_string();
+            table.add_row(vec![workload, metric, fmt_percent(row.bound), median, mad, verdict]);
         }
-        if let Some(delta) = self.median_delta() {
-            out.push_str(&format!(
-                "aggregate: median delta {} (threshold -{})\n",
-                fmt_percent(delta),
-                fmt_percent(self.config.rel_tol)
-            ));
-        }
-        if self.is_clean() {
-            out.push_str(&format!("sentinel: all {} points ok\n", self.rows.len()));
-        } else if self.regressions() > 0 {
-            out.push_str(&format!(
-                "sentinel: {} of {} points REGRESSED\n",
-                self.regressions(),
-                self.rows.len()
-            ));
-        } else {
-            out.push_str("sentinel: aggregate REGRESSED (uniform fleet slowdown)\n");
-        }
-        out
+        format!(
+            "{table}sentinel: {} ok, {} unresolved, {} REGRESSED\n",
+            self.count(Verdict::Ok),
+            self.count(Verdict::Unresolved),
+            self.count(Verdict::Regressed)
+        )
     }
 
     /// The report as a JSON value (deterministic key order).
     pub fn to_json(&self) -> Value {
+        let field = |key: &str, value: Value| (key.to_string(), value);
+        let rows = self.rows.iter().map(|row| {
+            let (median, mad) = row.ratio.map_or((Value::Null, Value::Null), |(m, d)| {
+                (Value::Num(m), Value::Num(d))
+            });
+            Value::Obj(vec![
+                field("workload", Value::Str(row.workload.clone())),
+                field("metric", Value::Str(row.metric.clone())),
+                field("bound", Value::Num(row.bound)),
+                field("median_ratio", median),
+                field("mad_ratio", mad),
+                field("verdict", Value::Str(row.verdict.name().to_string())),
+            ])
+        });
         Value::Obj(vec![
-            ("clean".to_string(), Value::Bool(self.is_clean())),
-            (
-                "regressions".to_string(),
-                Value::Num(self.regressions() as f64),
-            ),
-            ("rel_tol".to_string(), Value::Num(self.config.rel_tol)),
-            ("noise_mult".to_string(), Value::Num(self.config.noise_mult)),
-            (
-                "median_delta".to_string(),
-                self.median_delta().map_or(Value::Null, Value::Num),
-            ),
-            (
-                "aggregate_regressed".to_string(),
-                Value::Bool(self.aggregate_regressed()),
-            ),
-            (
-                "points".to_string(),
-                Value::Arr(
-                    self.rows
-                        .iter()
-                        .map(|row| {
-                            Value::Obj(vec![
-                                ("point".to_string(), Value::Str(row.point.clone())),
-                                ("baseline".to_string(), Value::Num(row.baseline)),
-                                (
-                                    "fresh".to_string(),
-                                    row.fresh.map_or(Value::Null, Value::Num),
-                                ),
-                                ("delta".to_string(), Value::Num(row.delta)),
-                                ("tolerance".to_string(), Value::Num(row.tolerance)),
-                                (
-                                    "verdict".to_string(),
-                                    Value::Str(row.verdict.name().to_string()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "added".to_string(),
-                Value::Arr(self.added.iter().cloned().map(Value::Str).collect()),
-            ),
+            field("regressed", Value::Num(self.count(Verdict::Regressed) as f64)),
+            field("unresolved", Value::Num(self.count(Verdict::Unresolved) as f64)),
+            field("rows", Value::Arr(rows.collect())),
         ])
     }
 }
 
-/// Compares a fresh speedup table against the baseline.
-pub fn compare(
-    baseline: &[SpeedupPoint],
-    fresh: &[SpeedupPoint],
-    config: &SentinelConfig,
-) -> SentinelReport {
-    let rows = baseline
-        .iter()
-        .map(|base| {
-            let matched = fresh.iter().find(|f| f.point == base.point);
-            match matched {
-                None => SentinelRow {
-                    point: base.point.clone(),
-                    baseline: base.speedup(),
-                    fresh: None,
-                    delta: -1.0,
-                    tolerance: config.rel_tol,
-                    verdict: Verdict::Missing,
-                },
-                Some(f) => {
-                    let noise = (base.rel_noise().powi(2) + f.rel_noise().powi(2)).sqrt();
-                    let noise = if noise.is_finite() { noise } else { 0.0 };
-                    let tolerance = config.rel_tol.max(config.noise_mult * noise);
-                    let delta = (f.speedup() - base.speedup()) / base.speedup();
-                    let verdict = if f.speedup() < base.speedup() * (1.0 - tolerance) {
-                        Verdict::Regressed
-                    } else {
-                        Verdict::Ok
-                    };
-                    SentinelRow {
-                        point: base.point.clone(),
-                        baseline: base.speedup(),
-                        fresh: Some(f.speedup()),
-                        delta,
-                        tolerance,
-                        verdict,
-                    }
-                }
-            }
-        })
-        .collect();
-    let added = fresh
-        .iter()
-        .filter(|f| !baseline.iter().any(|b| b.point == f.point))
-        .map(|f| f.point.clone())
-        .collect();
-    SentinelReport {
-        config: *config,
-        rows,
-        added,
+/// How much worse head is than base for one pair: `head / base`, or its
+/// inverse when higher is better. Equal values give exactly 1.
+fn ratio(metric: &Metric, base: f64, head: f64) -> Option<f64> {
+    if base == head {
+        return Some(1.0);
     }
+    let r = if metric.higher_is_better { base / head } else { head / base };
+    (r.is_finite() && r > 0.0).then_some(r)
+}
+
+/// Compares paired runs: line i of `base` against line i of `head`.
+///
+/// # Errors
+///
+/// Returns a message when the sides hold no runs or different numbers of
+/// runs, a pair names two workloads, or a run lacks a metric or reports
+/// one that gives no positive finite ratio (zero against non-zero).
+pub fn compare(metrics: &[Metric], base: &[Run], head: &[Run]) -> Result<Report, String> {
+    if base.is_empty() {
+        return Err("no runs to compare".to_string());
+    }
+    if base.len() != head.len() {
+        return Err(format!("base has {} runs but head has {}", base.len(), head.len()));
+    }
+    let mut workloads: Vec<&str> = Vec::new();
+    for (i, (b, h)) in base.iter().zip(head).enumerate() {
+        if b.workload != h.workload {
+            return Err(format!(
+                "run {}: base measured {} but head measured {}",
+                i + 1,
+                b.workload,
+                h.workload
+            ));
+        }
+        if !workloads.contains(&b.workload.as_str()) {
+            workloads.push(&b.workload);
+        }
+    }
+    let mut rows = Vec::new();
+    for workload in workloads {
+        let pairs: Vec<(usize, &Run, &Run)> = base
+            .iter()
+            .zip(head)
+            .enumerate()
+            .filter(|(_, (b, _))| b.workload == workload)
+            .map(|(i, (b, h))| (i + 1, b, h))
+            .collect();
+        for metric in metrics {
+            let ratios = pairs
+                .iter()
+                .map(|(line, b, h)| {
+                    let value = |run: &Run, side: &str| {
+                        run.metric(&metric.name).ok_or_else(|| {
+                            format!("run {line} ({side}, {workload}): no metric {}", metric.name)
+                        })
+                    };
+                    let (bv, hv) = (value(b, "base")?, value(h, "head")?);
+                    ratio(metric, bv, hv).ok_or_else(|| {
+                        format!(
+                            "run {line} ({workload}): {} is {bv} on base and {hv} on head; \
+                             no ratio",
+                            metric.name
+                        )
+                    })
+                })
+                .collect::<Result<Vec<f64>, String>>()?;
+            let (m, mad) = (median(&ratios), median_abs_deviation(&ratios));
+            let verdict = if m <= 1.0 + metric.bound {
+                Verdict::Ok
+            } else if m - 3.0 * mad > 1.0 {
+                Verdict::Regressed
+            } else {
+                Verdict::Unresolved
+            };
+            rows.push(Row {
+                workload: workload.to_string(),
+                metric: metric.name.clone(),
+                bound: metric.bound,
+                ratio: Some((m, mad)),
+                verdict,
+            });
+        }
+        let more_failures = pairs.iter().any(|(_, b, h)| h.failed_frac() > b.failed_frac());
+        rows.push(Row {
+            workload: workload.to_string(),
+            metric: "failed_frac".to_string(),
+            bound: 0.0,
+            ratio: None,
+            verdict: if more_failures { Verdict::Regressed } else { Verdict::Ok },
+        });
+    }
+    Ok(Report { rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn point(name: &str, cycle: f64, event: f64) -> SpeedupPoint {
-        SpeedupPoint {
-            point: name.to_string(),
-            cycle_ns: cycle,
-            cycle_mad_ns: cycle * 0.005,
-            event_ns: event,
-            event_mad_ns: event * 0.005,
+    fn benchmark() -> Vec<Metric> {
+        parse_benchmark(include_str!("../../../BENCHMARK.json")).expect("BENCHMARK.json parses")
+    }
+
+    /// A result line with every benchmark metric at 10 except the
+    /// overrides, and the given failure count out of 100.
+    fn line(workload: &str, overrides: &[(&str, f64)], failed: u32) -> String {
+        let metrics: Vec<String> = benchmark()
+            .iter()
+            .map(|m| {
+                let v = overrides.iter().find(|(name, _)| *name == m.name).map_or(10.0, |o| o.1);
+                format!("\"{}\":{{\"value\":{v},\"unit\":\"x\"}}", m.name)
+            })
+            .collect();
+        format!(
+            "{workload} {{\"attempted\":100,\"failed\":{failed},\"metrics\":{{{}}}}}",
+            metrics.join(",")
+        )
+    }
+
+    fn runs(lines: &[String]) -> Vec<Run> {
+        parse_runs(&lines.join("\n")).expect("runs parse")
+    }
+
+    fn verdict(report: &Report, workload: &str, metric: &str) -> Verdict {
+        let row = report.rows.iter().find(|r| r.workload == workload && r.metric == metric);
+        row.expect("row present").verdict
+    }
+
+    /// `n` pairs: base `wall_s` at 10, head at 10 × `factor(i)`.
+    fn wall_pairs(factor: impl Fn(usize) -> f64, n: usize) -> (Vec<Run>, Vec<Run>) {
+        let base: Vec<String> = (0..n).map(|_| line("w", &[], 0)).collect();
+        let head: Vec<String> =
+            (0..n).map(|i| line("w", &[("wall_s", 10.0 * factor(i))], 0)).collect();
+        (runs(&base), runs(&head))
+    }
+
+    #[test]
+    fn reads_the_repository_benchmark() {
+        let metrics = benchmark();
+        assert_eq!(metrics.len(), 10);
+        let find = |name: &str| metrics.iter().find(|m| m.name == name).unwrap();
+        assert!(find("sim_refs_per_s").higher_is_better);
+        assert!(!find("sim_accesses_per_proc").higher_is_better);
+        assert_eq!(find("sim_accesses_per_proc").bound, 0.25);
+        let bad = r#"{"end_to_end": [{"name": "x", "better": "up", "bound": 0.1}]}"#;
+        assert!(parse_benchmark(bad).is_err());
+        assert!(parse_benchmark("{}").is_err());
+    }
+
+    #[test]
+    fn identical_inputs_are_clean() {
+        let lines: Vec<String> = ["a", "b", "a", "b"].iter().map(|w| line(w, &[], 0)).collect();
+        let report = compare(&benchmark(), &runs(&lines), &runs(&lines)).unwrap();
+        assert_eq!(report.rows.len(), 2 * 11);
+        assert!(report.rows.iter().flat_map(|r| r.ratio).all(|r| r == (1.0, 0.0)));
+        assert!(report.to_text().contains("22 ok, 0 unresolved, 0 REGRESSED"));
+    }
+
+    #[test]
+    fn a_30_percent_slowdown_with_little_jitter_regresses() {
+        // The cross-host gate this replaced let any drop under 35 % through.
+        let jitter = [1.0, 1.01, 0.99, 1.005, 0.995];
+        let (base, head) = wall_pairs(|i| 1.30 * jitter[i], 5);
+        let report = compare(&benchmark(), &base, &head).unwrap();
+        assert_eq!(verdict(&report, "w", "wall_s"), Verdict::Regressed);
+        assert_eq!(report.count(Verdict::Regressed), 1);
+    }
+
+    #[test]
+    fn a_median_past_the_bound_inside_the_noise_is_unresolved() {
+        // Pairs alternate 0.9x and 1.7x: +30 % in the median, MAD 0.4.
+        let (base, head) = wall_pairs(|i| if i % 2 == 0 { 0.9 } else { 1.7 }, 6);
+        let report = compare(&benchmark(), &base, &head).unwrap();
+        assert_eq!(verdict(&report, "w", "wall_s"), Verdict::Unresolved);
+        assert_eq!(report.count(Verdict::Regressed), 0);
+    }
+
+    #[test]
+    fn more_failures_on_head_regress() {
+        let base = runs(&[line("w", &[], 0), line("w", &[], 1)]);
+        let head = runs(&[line("w", &[], 0), line("w", &[], 2)]);
+        let report = compare(&benchmark(), &base, &head).unwrap();
+        assert_eq!(verdict(&report, "w", "failed_frac"), Verdict::Regressed);
+        // Fewer failures on head are fine.
+        let report = compare(&benchmark(), &head, &base).unwrap();
+        assert_eq!(verdict(&report, "w", "failed_frac"), Verdict::Ok);
+    }
+
+    #[test]
+    fn an_exact_model_drift_past_the_bound_regresses() {
+        let base = runs(&[line("w", &[("sim_accesses_per_proc", 100.0)], 0)]);
+        let head = runs(&[line("w", &[("sim_accesses_per_proc", 126.0)], 0)]);
+        let report = compare(&benchmark(), &base, &head).unwrap();
+        assert_eq!(verdict(&report, "w", "sim_accesses_per_proc"), Verdict::Regressed);
+        // A rate falls the other way: 10 → 7.9 is 1.266x worse.
+        let head = runs(&[line("w", &[("sim_refs_per_s", 7.9)], 0)]);
+        let report = compare(&benchmark(), &runs(&[line("w", &[], 0)]), &head).unwrap();
+        assert_eq!(verdict(&report, "w", "sim_refs_per_s"), Verdict::Regressed);
+    }
+
+    #[test]
+    fn mismatched_inputs_are_errors() {
+        let metrics = benchmark();
+        let error = |base: &[Run], head: &[Run]| compare(&metrics, base, head).unwrap_err();
+        let one = runs(&[line("a", &[], 0)]);
+        assert!(error(&one, &runs(&[line("a", &[], 0), line("a", &[], 0)])).contains("runs"));
+        assert!(error(&[], &[]).contains("no runs"));
+        assert!(error(&one, &runs(&[line("b", &[], 0)])).contains("measured"));
+        let missing = runs(&["a {\"attempted\":1,\"failed\":0,\"metrics\":{}}".to_string()]);
+        assert!(error(&one, &missing).contains("no metric"));
+        assert!(error(&runs(&[line("a", &[("wall_s", 0.0)], 0)]), &one).contains("no ratio"));
+        for bad in ["a", "a {\"metrics\":{}}", "a not-json"] {
+            assert!(parse_runs(bad).is_err(), "{bad}");
         }
     }
 
     #[test]
-    fn parses_current_and_legacy_schemas() {
-        let current = r#"{"runner": "kernel_speedup", "points": [
-            {"point": "a", "cycle_ns": 100.0, "cycle_mad_ns": 1.0,
-             "event_ns": 20.0, "event_mad_ns": 0.5, "speedup": 5.0}]}"#;
-        let points = parse_speedup(current).unwrap();
-        assert_eq!(points[0].speedup(), 5.0);
-        assert_eq!(points[0].cycle_mad_ns, 1.0);
-        let legacy = r#"{"runner": "kernel_speedup", "points": [
-            {"point": "a", "cycle_ns": 100.0, "event_ns": 25.0, "speedup": 4.0}]}"#;
-        let points = parse_speedup(legacy).unwrap();
-        assert_eq!(points[0].speedup(), 4.0);
-        assert_eq!(points[0].rel_noise(), 0.0);
-        assert!(parse_speedup(r#"{"runner": "other", "points": []}"#).is_err());
-        assert!(parse_speedup(
-            r#"{"runner": "kernel_speedup", "points": [{"point": "a", "cycle_ns": 0, "event_ns": 1}]}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn clean_when_within_tolerance() {
-        let base = vec![point("a", 1000.0, 100.0), point("b", 500.0, 100.0)];
-        let fresh = vec![point("a", 950.0, 100.0), point("b", 520.0, 100.0)];
-        let report = compare(&base, &fresh, &SentinelConfig::default());
-        assert!(report.is_clean());
-        assert_eq!(report.regressions(), 0);
-        assert!(report.to_text().contains("all 2 points ok"));
-    }
-
-    #[test]
-    fn flags_injected_20_percent_slowdown() {
-        let base = vec![point("a", 1000.0, 100.0)];
-        // The event kernel got 25 % slower: speedup 10x -> 8x, a 20 % drop.
-        let fresh = vec![point("a", 1000.0, 125.0)];
-        let report = compare(&base, &fresh, &SentinelConfig::default());
-        assert_eq!(report.regressions(), 1);
-        assert_eq!(report.rows[0].verdict, Verdict::Regressed);
-        assert!(report.rows[0].delta < -0.15);
-        assert!(report.to_text().contains("REGRESSED"));
-    }
-
-    #[test]
-    fn missing_points_fail_added_points_do_not() {
-        let base = vec![point("a", 1000.0, 100.0)];
-        let fresh = vec![point("b", 1000.0, 100.0)];
-        let report = compare(&base, &fresh, &SentinelConfig::default());
-        assert_eq!(report.rows[0].verdict, Verdict::Missing);
-        assert!(!report.is_clean());
-        assert_eq!(report.added, vec!["b".to_string()]);
-    }
-
-    #[test]
-    fn noisy_measurements_widen_tolerance() {
-        let mut base = vec![point("a", 1000.0, 100.0)];
-        base[0].event_mad_ns = 10.0; // 10 % relative noise
-        let fresh = vec![point("a", 1000.0, 120.0)]; // 17 % speedup drop
-        let tight = compare(&base, &fresh, &SentinelConfig::default());
-        // noise x3 -> tolerance ~30 %, so the drop passes.
-        assert!(tight.is_clean());
-        let strict = compare(
-            &base,
-            &fresh,
-            &SentinelConfig {
-                rel_tol: 0.15,
-                noise_mult: 0.0,
-            },
-        );
-        assert!(!strict.is_clean());
-    }
-
-    #[test]
-    fn uniform_fleet_slowdown_fails_even_when_every_point_is_noisy() {
-        // Each point carries 10 % event-side noise, so its own tolerance
-        // (noise x3) swallows a 20 % speedup drop...
-        let base: Vec<SpeedupPoint> = (0..8)
-            .map(|i| {
-                let mut p = point(&format!("p{i}"), 1000.0, 100.0);
-                p.event_mad_ns = 10.0;
-                p
-            })
-            .collect();
-        let fresh: Vec<SpeedupPoint> = base
-            .iter()
-            .map(|b| {
-                let mut f = b.clone();
-                f.event_ns = 125.0;
-                f
-            })
-            .collect();
-        let report = compare(&base, &fresh, &SentinelConfig::default());
-        assert_eq!(report.regressions(), 0, "per-point tolerances absorb the drop");
-        // ...but all eight dropping together is a fleet regression.
-        assert!(report.aggregate_regressed());
-        assert!(!report.is_clean());
-        let text = report.to_text();
-        assert!(text.contains("aggregate REGRESSED"), "{text}");
-    }
-
-    #[test]
-    fn aggregate_check_needs_a_minimum_fleet() {
-        // A single noisy point past rel_tol but inside its noise band
-        // stays clean: no fleet, no aggregate verdict.
-        let mut base = vec![point("a", 1000.0, 100.0)];
-        base[0].event_mad_ns = 10.0;
-        let fresh = vec![point("a", 1000.0, 120.0)];
-        let report = compare(&base, &fresh, &SentinelConfig::default());
-        assert!(report.median_delta().unwrap() < -0.15);
-        assert!(!report.aggregate_regressed());
-        assert!(report.is_clean());
-    }
-
-    #[test]
-    fn json_renders_verdicts() {
-        let base = vec![point("a", 1000.0, 100.0)];
-        let report = compare(&base, &[], &SentinelConfig::default());
+    fn json_report_lists_every_row() {
+        let lines = [line("a", &[], 0)];
+        let report = compare(&benchmark(), &runs(&lines), &runs(&lines)).unwrap();
         let json = report.to_json().render();
-        assert!(json.contains("MISSING"));
-        assert!(json.contains("\"clean\": false") || json.contains("\"clean\":false"));
+        assert!(json.contains("\"regressed\":0"), "{json}");
+        assert!(json.contains("\"failed_frac\""), "{json}");
+        assert_eq!(json.matches("\"verdict\"").count(), 11);
     }
 }

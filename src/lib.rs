@@ -39,8 +39,8 @@
 //!   behind the `loadsweep`/`fairness` exhibits.
 //! * [`insight`] — offline trace analysis: cycle attribution with a
 //!   conservation invariant, barrier episode/critical-path extraction,
-//!   per-tenant SLO timelines, and the perf-regression sentinel
-//!   (`repro analyze`, `repro sentinel`).
+//!   per-tenant SLO timelines (`repro analyze`), and the same-host perf
+//!   gate over paired perfbench runs (`repro sentinel <base> <head>`).
 //!
 //! # Quick start
 //!
