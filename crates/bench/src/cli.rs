@@ -54,12 +54,8 @@ pub struct CliOptions {
     pub csv_dir: Option<PathBuf>,
     /// Worker threads for the execution engine.
     pub jobs: usize,
-    /// Skip exhibits recorded as completed in the run manifest.
-    pub resume: bool,
     /// Write a Chrome trace-event JSON file of the run to this path.
     pub trace: Option<PathBuf>,
-    /// Print a metrics snapshot of the run to stdout.
-    pub metrics: bool,
     /// Deduplicated experiment ids, in first-mention order.
     pub targets: Vec<String>,
 }
@@ -78,7 +74,7 @@ pub enum Parsed {
     Analyze {
         /// The `--trace` output file to analyze.
         file: PathBuf,
-        /// Also write `repro_out/analysis_<stem>.json`.
+        /// Also write `analysis_<stem>.json` beside the trace file.
         json: bool,
     },
     /// Gate paired perfbench runs of two commits
@@ -101,9 +97,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
     let mut config = ReproConfig::paper();
     let mut csv_dir: Option<PathBuf> = None;
     let mut jobs = default_jobs.max(1);
-    let mut resume = false;
     let mut trace: Option<PathBuf> = None;
-    let mut metrics = false;
     let mut targets: Vec<String> = Vec::new();
 
     let mut args = args.into_iter().peekable();
@@ -189,7 +183,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                 }
                 jobs = v;
             }
-            "--resume" => resume = true,
             "--csv" => {
                 let Some(dir) = args.next() else {
                     return Parsed::Error("--csv needs a directory".into());
@@ -221,8 +214,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                             .into(),
                     );
                 }
-                // Stored as permille so ReproConfig stays Eq-comparable
-                // for the --resume manifest check.
+                // Stored as permille so ReproConfig stays Eq-comparable.
                 config.load =
                     Some(u32::try_from((v * 1000.0).round().max(1.0) as u64).unwrap_or(u32::MAX));
             }
@@ -246,11 +238,13 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                     Err(e) => return Parsed::Error(e.to_string()),
                 }
             }
-            "--metrics" => metrics = true,
             "--list" => return Parsed::List,
             "--help" | "-h" => return Parsed::Help,
             "all" => targets.extend(IDS.iter().map(|s| s.to_string())),
             other if IDS.contains(&other) => targets.push(other.to_string()),
+            other if other.starts_with('-') => {
+                return Parsed::Error(format!("unknown option {other:?}"));
+            }
             other => {
                 return Parsed::Error(format!(
                     "unknown experiment {other:?}; known: {}",
@@ -262,31 +256,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
     if targets.is_empty() {
         return Parsed::Error("no experiments requested".into());
     }
-    // --resume replays completed exhibits from the manifest without
-    // re-running them, so a combined trace/metrics report would silently
-    // cover only the remainder; reject the combination outright.
-    if resume && trace.is_some() {
-        return Parsed::Error(
-            "--trace cannot be combined with --resume: skipped exhibits would be \
-             missing from the trace; rerun without --resume"
-                .into(),
-        );
-    }
-    if resume && metrics {
-        return Parsed::Error(
-            "--metrics cannot be combined with --resume: skipped exhibits would be \
-             missing from the metrics; rerun without --resume"
-                .into(),
-        );
-    }
     dedup_preserving_order(&mut targets);
     Parsed::Run(CliOptions {
         config,
         csv_dir,
         jobs,
-        resume,
         trace,
-        metrics,
         targets,
     })
 }
@@ -302,8 +277,8 @@ fn dedup_preserving_order(targets: &mut Vec<String>) {
 pub fn help() -> String {
     format!(
         "repro — regenerate the paper's tables and figures\n\n\
-         usage: repro [--quick] [--reps N] [--seed S] [--jobs N] [--kernel K] [--resume]\n\
-        \x20            [--csv DIR] [--trace FILE] [--metrics]\n\
+         usage: repro [--quick] [--reps N] [--seed S] [--jobs N] [--kernel K]\n\
+        \x20            [--csv DIR] [--trace FILE]\n\
         \x20            [--load R] [--tenants N] [--sched P] <id>... | all\n\
         \x20       repro analyze <trace.json> [--json]\n\
         \x20       repro sentinel <base> <head>\n\n\
@@ -312,12 +287,8 @@ pub fn help() -> String {
          --kernel K  simulation kernel: event (default, skip-ahead) or\n\
         \x20            cycle (the reference oracle); results are\n\
         \x20            bit-identical under either\n\
-         --resume    skip exhibits recorded as completed in repro_out/'s\n\
-        \x20            run manifest (same seed/reps config required);\n\
-        \x20            incompatible with --trace/--metrics\n\
          --trace F   write a Chrome trace-event JSON file (open in Perfetto\n\
         \x20            or chrome://tracing); sim lanes are seed-deterministic\n\
-         --metrics   print a metrics snapshot of the run\n\
          --load R    open-loop exhibits only: scale every offered-load grid\n\
         \x20            point by R (positive rate multiplier)\n\
          --tenants N open-loop exhibits only: tenant population size\n\
@@ -326,11 +297,11 @@ pub fn help() -> String {
          --list      print the exhibit table (id + description) and exit\n\
          analyze     run the abs-insight passes (cycle attribution, barrier\n\
         \x20            episodes, per-tenant SLO timelines) over a --trace\n\
-        \x20            file; --json also writes repro_out/analysis_<stem>.json\n\
+        \x20            file; --json also writes analysis_<stem>.json beside it\n\
          sentinel    gate paired perfbench --trace 0 result lines of two\n\
         \x20            commits run on one host, with BENCHMARK.json's\n\
         \x20            end-to-end bounds; exits 1 on regression and writes\n\
-        \x20            repro_out/sentinel_report.json\n\n\
+        \x20            sentinel_report.json beside <head>\n\n\
          experiments: {}\n\
          (run `repro --list` for one-line descriptions)",
         IDS.join(" ")
@@ -430,10 +401,9 @@ mod tests {
 
     #[test]
     fn defaults_and_flags() {
-        let o = options(&["--quick", "--jobs", "2", "--resume", "--csv", "out", "fig5"]);
+        let o = options(&["--quick", "--jobs", "2", "--csv", "out", "fig5"]);
         assert_eq!(o.config.reps, ReproConfig::quick().reps);
         assert_eq!(o.jobs, 2);
-        assert!(o.resume);
         assert_eq!(o.csv_dir, Some(PathBuf::from("out")));
         assert_eq!(o.targets, vec!["fig5"]);
     }
@@ -442,7 +412,6 @@ mod tests {
     fn default_jobs_comes_from_caller() {
         let o = options(&["fig5"]);
         assert_eq!(o.jobs, 4);
-        assert!(!o.resume);
     }
 
     #[test]
@@ -479,32 +448,29 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_flags_parse() {
-        let o = options(&["--trace", "t.json", "--metrics", "fig7"]);
+    fn trace_flag_parses() {
+        let o = options(&["--trace", "t.json", "fig7"]);
         assert_eq!(o.trace, Some(PathBuf::from("t.json")));
-        assert!(o.metrics);
-        let o = options(&["fig7"]);
-        assert_eq!(o.trace, None);
-        assert!(!o.metrics);
+        assert_eq!(options(&["fig7"]).trace, None);
         assert!(matches!(parse(&["--trace"]), Parsed::Error(_)));
     }
 
     #[test]
-    fn trace_conflicts_with_resume() {
-        match parse(&["--resume", "--trace", "t.json", "fig7"]) {
-            Parsed::Error(msg) => assert!(msg.contains("--resume"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
+    fn unknown_options_are_named_as_options() {
+        for flag in ["--resume", "--metrics", "--bogus"] {
+            assert_eq!(
+                parse(&[flag, "fig4"]),
+                Parsed::Error(format!("unknown option \"{flag}\""))
+            );
         }
-        match parse(&["--metrics", "--resume", "fig7"]) {
-            Parsed::Error(msg) => assert!(msg.contains("--resume"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
-        }
+        // A short flag the parser knows still wins.
+        assert_eq!(parse(&["-h"]), Parsed::Help);
     }
 
     #[test]
     fn help_mentions_new_flags() {
         let h = help();
-        for flag in ["--trace", "--metrics", "--list", "--kernel", "--load", "--tenants", "--sched"] {
+        for flag in ["--trace", "--list", "--kernel", "--load", "--tenants", "--sched"] {
             assert!(h.contains(flag), "help must mention {flag}");
         }
     }

@@ -51,6 +51,45 @@ pub fn resource(config: &ReproConfig) -> Table {
     t
 }
 
+/// The circuit-switched network [`netback`] runs: 32 ports, hot-spot load.
+pub const NETBACK_CIRCUIT: CircuitConfig = CircuitConfig {
+    log2_size: 5,
+    hold_cycles: 4,
+    request_rate: 0.4,
+    hot_fraction: 0.3,
+    warmup_cycles: 500,
+    measure_cycles: 5_000,
+};
+
+/// The five collision-backoff policies [`netback`] runs on
+/// [`NETBACK_CIRCUIT`].
+pub const NETBACK_CIRCUIT_POLICIES: [NetworkBackoff; 5] = [
+    NetworkBackoff::None,
+    NetworkBackoff::DepthProportional { factor: 4 },
+    NetworkBackoff::InverseDepth { factor: 4 },
+    NetworkBackoff::ConstantRtt { rtt: 8 },
+    NetworkBackoff::ExponentialRetries { base: 2, cap: 256 },
+];
+
+/// The packet-switched network [`netback`] runs: 32 ports, hot-spot load.
+pub const NETBACK_PACKET: PacketConfig = PacketConfig {
+    log2_size: 5,
+    queue_capacity: 4,
+    injection_rate: 0.9,
+    hot_fraction: 0.5,
+    warmup_cycles: 500,
+    measure_cycles: 5_000,
+    memory_service_cycles: 2,
+    max_outstanding: 4,
+};
+
+/// The policies [`netback`] runs on [`NETBACK_PACKET`]: none, and the
+/// queue-feedback policy that reads the memory queues.
+pub const NETBACK_PACKET_POLICIES: [NetworkBackoff; 2] = [
+    NetworkBackoff::None,
+    NetworkBackoff::QueueFeedback { factor: 8 },
+];
+
 /// **Section 8, networks**: the five collision-backoff policies on a
 /// circuit-switched Omega network under hot-spot load, plus the
 /// Scott–Sohi queue-feedback policy on the packet-switched network.
@@ -63,23 +102,8 @@ pub fn netback(config: &ReproConfig) -> Table {
         "collision depth",
     ])
     .with_title("Section 8: network-access backoff on a hot-spot Omega network");
-    let cc = CircuitConfig {
-        log2_size: 5,
-        hold_cycles: 4,
-        request_rate: 0.4,
-        hot_fraction: 0.3,
-        warmup_cycles: 500,
-        measure_cycles: 5_000,
-    };
-    let policies = [
-        NetworkBackoff::None,
-        NetworkBackoff::DepthProportional { factor: 4 },
-        NetworkBackoff::InverseDepth { factor: 4 },
-        NetworkBackoff::ConstantRtt { rtt: 8 },
-        NetworkBackoff::ExponentialRetries { base: 2, cap: 256 },
-    ];
-    for policy in policies {
-        let sim = CircuitSim::new(cc, policy);
+    for policy in NETBACK_CIRCUIT_POLICIES {
+        let sim = CircuitSim::new(NETBACK_CIRCUIT, policy);
         let mut attempts = OnlineStats::new();
         let mut lat = OnlineStats::new();
         let mut thr = OnlineStats::new();
@@ -102,21 +126,8 @@ pub fn netback(config: &ReproConfig) -> Table {
 
     // Policy 5 runs on the packet-switched substrate (it needs memory
     // queues to read).
-    let pc = PacketConfig {
-        log2_size: 5,
-        queue_capacity: 4,
-        injection_rate: 0.9,
-        hot_fraction: 0.5,
-        warmup_cycles: 500,
-        measure_cycles: 5_000,
-        memory_service_cycles: 2,
-        max_outstanding: 4,
-    };
-    for policy in [
-        NetworkBackoff::None,
-        NetworkBackoff::QueueFeedback { factor: 8 },
-    ] {
-        let sim = PacketSim::new(pc, policy);
+    for policy in NETBACK_PACKET_POLICIES {
+        let sim = PacketSim::new(NETBACK_PACKET, policy);
         let mut thr = OnlineStats::new();
         let mut lat = OnlineStats::new();
         let mut blocked = OnlineStats::new();

@@ -13,7 +13,10 @@ mod variants;
 pub use ablations::{ablation_arbitration, ablation_cap, ablation_determinism};
 pub use barrier::{barrier_figures, fig4, hardware, sec71, BarrierFigures};
 pub use coherence::{fig1, table1, table2};
-pub use extensions::{combining, netback, resource};
+pub use extensions::{
+    combining, netback, resource, NETBACK_CIRCUIT, NETBACK_CIRCUIT_POLICIES, NETBACK_PACKET,
+    NETBACK_PACKET_POLICIES,
+};
 pub use load::{fairness, loadsweep, LoadExhibit};
 pub use megasweep::{megasweep, MegaExhibit};
 pub use traces::{fig3, table3};

@@ -57,8 +57,7 @@ pub struct ReproConfig {
     pub kernel: Kernel,
     /// Offered-load override for the open-loop exhibits, in permille of
     /// each sweep grid point's baseline rate (`None` sweeps the built-in
-    /// grid; stored as permille so the config stays `Eq`-comparable for
-    /// `--resume`).
+    /// grid; stored as permille so the config stays `Eq`-comparable).
     pub load: Option<u32>,
     /// Tenant population size for the open-loop exhibits.
     pub tenants: usize,

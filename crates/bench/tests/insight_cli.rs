@@ -5,7 +5,8 @@
 //! attribution whose bytes are identical at any `--jobs` count (the trace
 //! is, so the analysis — a pure function of the trace — must be too).
 //! The sentinel path: paired perfbench result lines with head's `wall_s`
-//! 30 % slower exit 1; files that do not pair exit 2.
+//! 30 % slower exit 1; files that do not pair exit 2. Both commands write
+//! their reports beside their inputs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -42,7 +43,6 @@ fn traced_run(dir: &Path, jobs: &str, targets: &[&str]) -> PathBuf {
         jobs,
         "--trace",
         trace.to_str().unwrap(),
-        "--metrics",
     ];
     args.extend_from_slice(targets);
     let run = repro(&args);
@@ -106,6 +106,24 @@ fn analyze_renders_slo_timelines_for_open_loop_exhibits() {
 }
 
 #[test]
+fn analyze_json_lands_beside_its_trace() {
+    let dir = tmpdir("insight_cli_json");
+    let trace = traced_run(&dir, "2", &["fig4"]);
+    let _ = std::fs::remove_file(dir.join("analysis_trace_j2.json"));
+
+    let analyzed = repro(&["analyze", trace.to_str().unwrap(), "--json"]);
+    assert!(
+        analyzed.status.success(),
+        "analyze failed:\n{}",
+        stderr(&analyzed)
+    );
+    let report = dir.join("analysis_trace_j2.json");
+    assert!(report.is_file(), "{}", stderr(&analyzed));
+    let text = std::fs::read_to_string(&report).unwrap();
+    abs_exec::json::Value::parse(&text).expect("analysis report is JSON");
+}
+
+#[test]
 fn analyze_rejects_garbage_input() {
     let dir = tmpdir("insight_cli_garbage");
     let bogus = dir.join("bogus.json");
@@ -141,11 +159,15 @@ fn sentinel_fails_a_30_percent_slowdown_of_paired_runs() {
     let dir = tmpdir("insight_cli_sentinel");
     let base = dir.join("base.txt");
     let head = dir.join("head.txt");
+    let report = dir.join("sentinel_report.json");
+    let _ = std::fs::remove_file(&report);
     std::fs::write(&base, result_lines("barrier_paper", 5, |_| 1.0)).unwrap();
     std::fs::write(&head, result_lines("barrier_paper", 5, |_| 1.0)).unwrap();
     let same = repro(&["sentinel", base.to_str().unwrap(), head.to_str().unwrap()]);
     assert!(same.status.success(), "{}{}", stdout(&same), stderr(&same));
     assert!(stdout(&same).contains("11 ok, 0 unresolved, 0 REGRESSED"), "{}", stdout(&same));
+    // The report lands beside <head>, not in the checkout.
+    assert!(report.is_file(), "{}", stderr(&same));
 
     // ±1 % jitter around 1.30×: past the 0.25 bound and clear of the noise.
     let jitter = [1.0, 1.01, 0.99, 1.005, 0.995];

@@ -95,6 +95,43 @@ fn barrier_large_n_grid_bit_identical() {
     }
 }
 
+/// The release tier for the networks: `netback`'s exact configurations
+/// and policies at its own 32 ports and at 64, past the 16-port shapes
+/// the cases above reach.
+#[cfg(not(debug_assertions))]
+#[test]
+fn netback_shapes_bit_identical_at_32_and_64_ports() {
+    use abs_bench::experiments::{
+        NETBACK_CIRCUIT, NETBACK_CIRCUIT_POLICIES, NETBACK_PACKET, NETBACK_PACKET_POLICIES,
+    };
+    for log2_size in [5u32, 6] {
+        let mut circuit = NETBACK_CIRCUIT;
+        circuit.log2_size = log2_size;
+        let mut packet = NETBACK_PACKET;
+        packet.log2_size = log2_size;
+        for policy in NETBACK_CIRCUIT_POLICIES {
+            let sim = CircuitSim::new(circuit, policy);
+            for seed in 0..3u64 {
+                assert_eq!(
+                    sim.run_with(seed, Kernel::Cycle),
+                    sim.run_with(seed, Kernel::Event),
+                    "circuit {policy:?} log2_size={log2_size} seed={seed}"
+                );
+            }
+        }
+        for policy in NETBACK_PACKET_POLICIES {
+            let sim = PacketSim::new(packet, policy);
+            for seed in 0..3u64 {
+                assert_eq!(
+                    sim.run_with(seed, Kernel::Cycle),
+                    sim.run_with(seed, Kernel::Event),
+                    "packet {policy:?} log2_size={log2_size} seed={seed}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn property_barrier_kernels_bit_identical() {
     let policies = barrier_policies();

@@ -1,9 +1,11 @@
 //! A minimal JSON value model with a parser and renderer.
 //!
-//! The hermetic workspace has no serde; the run manifest needs to be both
-//! written (for humans and tooling) and read back (for `--resume`), so this
-//! module implements the small slice of JSON that covers: objects, arrays,
-//! strings with standard escapes, finite numbers, booleans, and null.
+//! The hermetic workspace has no serde. The run manifest and the trace
+//! and report exporters render JSON; `repro sentinel` (reading
+//! `BENCHMARK.json` and perfbench result lines) and `repro analyze`
+//! (reading Chrome traces) parse it. This module implements the small
+//! slice of JSON that covers: objects, arrays, strings with standard
+//! escapes, finite numbers, booleans, and null.
 //! Object key order is preserved so rendering is deterministic.
 
 use std::fmt::Write as _;

@@ -21,9 +21,9 @@
 //!   time, queue wait, and attempt counts, and per-worker busy time and
 //!   utilization.
 //! * [`RunManifest`] — a JSON record of seed, config, git commit, and
-//!   per-job status written beside the run's artifacts; a later run with
-//!   the same seed/config can load it and **resume**, skipping completed
-//!   jobs. (Serialization is in-tree: [`json`] is a minimal JSON model.)
+//!   per-job status written beside the run's artifacts. (Serialization is
+//!   in-tree: [`json`] is a minimal JSON model whose parser also serves
+//!   `repro sentinel` and `repro analyze`.)
 //! * [`ShardPlan`] / [`run_shards`] — deterministic intra-run sharding:
 //!   one giant simulation partitioned into plan-time shards with derived
 //!   seeds and an ordered merge, so `--jobs N` accelerates a *single* run.

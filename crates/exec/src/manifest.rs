@@ -1,21 +1,18 @@
 //! The run manifest: a JSON record of what a run executed and how it went.
 //!
-//! A [`RunManifest`] captures enough to (a) audit a run — master seed,
-//! config key/values, best-effort git commit, per-job seed/status/timings —
-//! and (b) resume it: a later run with an identical configuration can load
-//! the manifest and skip every job recorded as `ok`. Manifests are written
-//! to the caller's output directory (`repro_out/` for the `repro` binary)
-//! as `<tool>_manifest.json`.
+//! A [`RunManifest`] captures enough to audit a run — master seed, config
+//! key/values, best-effort git commit, per-job seed/status/timings. It is
+//! written to the caller's output directory (`repro_out/` for the `repro`
+//! binary) as `<tool>_manifest.json`, and nothing reads it back: the
+//! determinism contract makes a rerun byte-identical, so the record has no
+//! state worth recovering.
 //!
 //! Seeds are stored as hex *strings*, not JSON numbers: a JSON number is a
 //! double and cannot represent every `u64` exactly.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::engine::RunReport;
-use crate::job::JobOutcome;
 use crate::json::Value;
 
 /// Terminal status of one job.
@@ -32,7 +29,7 @@ pub enum JobStatus {
 pub struct JobRecord {
     /// Stable job id (commit order).
     pub id: usize,
-    /// Job name (the resume key).
+    /// Job name.
     pub name: String,
     /// Seed the job received.
     pub seed: u64,
@@ -48,22 +45,32 @@ pub struct JobRecord {
     pub artifact: Option<String>,
 }
 
-/// A complete run record, serializable to and from JSON.
+/// A complete run record, serialized to JSON.
 ///
 /// # Examples
 ///
 /// ```
-/// use abs_exec::{Engine, JobSet, RunManifest};
+/// use abs_exec::json::Value;
+/// use abs_exec::{JobRecord, JobStatus, RunManifest};
 ///
-/// let mut set = JobSet::new(1);
-/// set.push("a", |s| s);
-/// let report = Engine::single_threaded().run(set);
 /// let mut manifest = RunManifest::new("demo", 1);
 /// manifest.set_config("reps", "10");
-/// manifest.record_report(&report);
-/// let json = manifest.to_json();
-/// let back = RunManifest::from_json(&json).unwrap();
-/// assert_eq!(back.completed(), ["a".to_string()].into_iter().collect());
+/// manifest.push_record(JobRecord {
+///     id: 0,
+///     name: "a".into(),
+///     seed: 1,
+///     status: JobStatus::Ok,
+///     attempts: 1,
+///     wall_ms: 0.5,
+///     queue_ms: 0.0,
+///     artifact: None,
+/// });
+/// let dir = std::env::temp_dir().join("abs_exec_manifest_doctest");
+/// let path = manifest.write_to(&dir).unwrap();
+/// assert!(path.ends_with("demo_manifest.json"));
+/// let doc = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+/// assert_eq!(doc.get("seed").and_then(Value::as_str), Some("0x1"));
+/// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
@@ -71,7 +78,7 @@ pub struct RunManifest {
     pub tool: String,
     /// Master seed of the run.
     pub seed: u64,
-    /// Free-form configuration key/value pairs; resume requires equality.
+    /// Free-form configuration key/value pairs.
     pub config: Vec<(String, String)>,
     /// Best-effort git commit of the working tree, if discoverable.
     pub git: Option<String>,
@@ -118,69 +125,9 @@ impl RunManifest {
         }
     }
 
-    /// Looks up a configuration key.
-    pub fn config_value(&self, key: &str) -> Option<&str> {
-        self.config
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether this manifest was produced under the same master seed and
-    /// configuration pairs — the precondition for trusting its `ok` rows
-    /// during resume.
-    pub fn matches(&self, seed: u64, config: &[(String, String)]) -> bool {
-        let mut mine = self.config.clone();
-        let mut theirs = config.to_vec();
-        mine.sort();
-        theirs.sort();
-        self.seed == seed && mine == theirs
-    }
-
-    /// Appends one row built from an engine outcome. `artifact` names any
-    /// file the job's commit step produced.
-    pub fn record<T>(&mut self, outcome: &JobOutcome<T>, artifact: Option<String>) {
-        self.jobs.push(JobRecord {
-            id: outcome.id,
-            name: outcome.name.clone(),
-            seed: outcome.seed,
-            status: match &outcome.result {
-                Ok(_) => JobStatus::Ok,
-                Err(f) => JobStatus::Failed(f.message.clone()),
-            },
-            attempts: outcome.stats.attempts,
-            wall_ms: outcome.stats.wall.as_secs_f64() * 1e3,
-            queue_ms: outcome.stats.queue_wait.as_secs_f64() * 1e3,
-            artifact,
-        });
-    }
-
-    /// Appends every outcome of a report and copies its pool counters.
-    pub fn record_report<T>(&mut self, report: &RunReport<T>) {
-        self.workers = report.workers.len();
-        self.elapsed_ms = report.elapsed.as_secs_f64() * 1e3;
-        for outcome in &report.outcomes {
-            self.record(outcome, None);
-        }
-    }
-
-    /// Appends a pre-built row (used when merging resumed runs).
+    /// Appends one job's row.
     pub fn push_record(&mut self, record: JobRecord) {
         self.jobs.push(record);
-    }
-
-    /// Names of every job recorded as `ok` — the resume skip-set.
-    pub fn completed(&self) -> BTreeSet<String> {
-        self.jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Ok)
-            .map(|j| j.name.clone())
-            .collect()
-    }
-
-    /// The row for a given job name, if present.
-    pub fn job(&self, name: &str) -> Option<&JobRecord> {
-        self.jobs.iter().find(|j| j.name == name)
     }
 
     /// Serializes the manifest as pretty-printed JSON.
@@ -239,48 +186,6 @@ impl RunManifest {
         .render_pretty()
     }
 
-    /// Parses a manifest back from JSON.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = Value::parse(text)?;
-        let tool = str_field(&v, "tool")?;
-        let seed = seed_field(&v, "seed")?;
-        let config = match v.get("config") {
-            Some(Value::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, val)| {
-                    val.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| format!("config key {k:?} is not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing config object".to_string()),
-        };
-        let git = v.get("git").and_then(|g| g.as_str()).map(str::to_string);
-        let created_unix_ms = v
-            .get("created_unix_ms")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0) as u64;
-        let workers = v.get("workers").and_then(Value::as_f64).unwrap_or(0.0) as usize;
-        let elapsed_ms = v.get("elapsed_ms").and_then(Value::as_f64).unwrap_or(0.0);
-        let jobs = v
-            .get("jobs")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "missing jobs array".to_string())?
-            .iter()
-            .map(parse_job)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            tool,
-            seed,
-            config,
-            git,
-            created_unix_ms,
-            workers,
-            elapsed_ms,
-            jobs,
-        })
-    }
-
     /// Writes `<tool>_manifest.json` into `dir`, creating it if needed.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
@@ -288,62 +193,10 @@ impl RunManifest {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// Loads a manifest from a file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
 }
 
 fn round3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|f| f.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-/// Seeds are written as `0x…` hex strings; accept plain decimal too.
-fn seed_field(v: &Value, key: &str) -> Result<u64, String> {
-    let text = str_field(v, key)?;
-    let parsed = match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    parsed.map_err(|_| format!("field {key:?} is not a u64: {text:?}"))
-}
-
-fn parse_job(v: &Value) -> Result<JobRecord, String> {
-    let status_text = str_field(v, "status")?;
-    let status = match status_text.as_str() {
-        "ok" => JobStatus::Ok,
-        "failed" => JobStatus::Failed(
-            v.get("error")
-                .and_then(|e| e.as_str())
-                .unwrap_or("unknown")
-                .to_string(),
-        ),
-        other => return Err(format!("unknown job status {other:?}")),
-    };
-    Ok(JobRecord {
-        id: v.get("id").and_then(Value::as_f64).unwrap_or(0.0) as usize,
-        name: str_field(v, "name")?,
-        seed: seed_field(v, "seed")?,
-        status,
-        attempts: u32::try_from(v.get("attempts").and_then(Value::as_f64).unwrap_or(1.0) as u64)
-            .unwrap_or(u32::MAX),
-        wall_ms: v.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
-        queue_ms: v.get("queue_ms").and_then(Value::as_f64).unwrap_or(0.0),
-        artifact: v
-            .get("artifact")
-            .and_then(|a| a.as_str())
-            .map(str::to_string),
-    })
 }
 
 /// Best-effort current commit id of the repository at `root`, read straight
@@ -401,47 +254,48 @@ mod tests {
         m
     }
 
+    /// The four things a reader of the written JSON relies on.
+    fn assert_records_sample(doc: &Value) {
+        // u64::MAX survives as a hex string (the reason seeds are strings).
+        let jobs = doc.get("jobs").and_then(Value::as_array).unwrap();
+        assert_eq!(
+            jobs[0].get("seed").and_then(Value::as_str),
+            Some("0xffffffffffffffff")
+        );
+        assert_eq!(
+            doc.get("config"),
+            Some(&Value::Obj(vec![
+                ("reps".into(), Value::Str("10".into())),
+                ("max_n".into(), Value::Str("64".into())),
+            ]))
+        );
+        assert_eq!(
+            jobs[0].get("artifact").and_then(Value::as_str),
+            Some("fig5.csv")
+        );
+        // A failed row keeps its status and diagnosis.
+        assert_eq!(
+            jobs[1].get("status").and_then(Value::as_str),
+            Some("failed")
+        );
+        assert_eq!(
+            jobs[1].get("error").and_then(Value::as_str),
+            Some("index out of bounds")
+        );
+    }
+
     #[test]
     fn json_roundtrip_preserves_everything() {
-        let m = sample();
-        let back = RunManifest::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        // u64::MAX survives (the reason seeds are strings).
-        assert_eq!(back.jobs[0].seed, u64::MAX);
-    }
-
-    #[test]
-    fn completed_lists_only_ok_jobs() {
-        let m = sample();
-        let done = m.completed();
-        assert!(done.contains("fig5"));
-        assert!(!done.contains("fig6"));
-    }
-
-    #[test]
-    fn matches_requires_seed_and_config() {
-        let m = sample();
-        let config = vec![
-            ("max_n".to_string(), "64".to_string()),
-            ("reps".to_string(), "10".to_string()),
-        ];
-        // Order-insensitive on keys.
-        assert!(m.matches(0xDEAD_BEEF_F00D_CAFE, &config));
-        assert!(!m.matches(1, &config));
-        assert!(!m.matches(
-            0xDEAD_BEEF_F00D_CAFE,
-            &[("reps".to_string(), "100".to_string())]
-        ));
+        assert_records_sample(&Value::parse(&sample().to_json()).unwrap());
     }
 
     #[test]
     fn write_and_load() {
         let dir = std::env::temp_dir().join("abs_exec_manifest_test");
-        let m = sample();
-        let path = m.write_to(&dir).unwrap();
+        let path = sample().write_to(&dir).unwrap();
         assert!(path.ends_with("unit_manifest.json"));
-        let back = RunManifest::load(&path).unwrap();
-        assert_eq!(back, m);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_records_sample(&Value::parse(&text).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -450,26 +304,7 @@ mod tests {
         let mut m = RunManifest::new("t", 0);
         m.set_config("k", "1");
         m.set_config("k", "2");
-        assert_eq!(m.config_value("k"), Some("2"));
-        assert_eq!(m.config.len(), 1);
-    }
-
-    #[test]
-    fn record_report_captures_outcomes() {
-        use crate::{Engine, JobSet};
-        let mut set = JobSet::new(5);
-        set.push("ok", |s| s);
-        set.push("bad", |_| -> u64 { panic!("poisoned") });
-        let report = Engine::single_threaded().run(set);
-        let mut m = RunManifest::new("t", 5);
-        m.record_report(&report);
-        assert_eq!(m.jobs.len(), 2);
-        assert_eq!(m.jobs[0].status, JobStatus::Ok);
-        assert_eq!(
-            m.jobs[1].status,
-            JobStatus::Failed("poisoned".to_string())
-        );
-        assert_eq!(m.workers, 1);
+        assert_eq!(m.config, vec![("k".to_string(), "2".to_string())]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Integration tests for the execution engine's three contracts:
-//! determinism at any worker count, panic isolation, and
-//! resume-from-manifest.
+//! Integration tests for the execution engine's two contracts:
+//! determinism at any worker count and panic isolation.
 
-use abs_exec::{Engine, ExecConfig, JobSet, JobStatus, RunManifest};
+use abs_exec::{Engine, ExecConfig, JobSet};
 use abs_sim::check::{self, Config};
 use abs_sim::forall;
 use abs_sim::rng::SplitMix64;
@@ -62,46 +61,6 @@ fn one_poisoned_job_fails_the_other_99_complete() {
     let err = report.into_values().unwrap_err();
     assert_eq!(err.failures.len(), 1);
     assert_eq!(err.failures[0].0, "job37");
-}
-
-#[test]
-fn resume_from_manifest_skips_only_completed_jobs() {
-    let dir = std::env::temp_dir().join("abs_exec_resume_test");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // First run: one job fails.
-    let mut set = JobSet::new(11);
-    for i in 0..10usize {
-        set.push(format!("exhibit{i}"), move |seed| {
-            assert_ne!(i, 4, "flaky");
-            simulate(seed)
-        });
-    }
-    let report = Engine::new(ExecConfig::new(2)).run(set);
-    let mut manifest = RunManifest::new("resume_test", 11);
-    manifest.set_config("reps", "10");
-    manifest.record_report(&report);
-    let path = manifest.write_to(&dir).unwrap();
-
-    // Second run: load, verify config, and rebuild the work list.
-    let loaded = RunManifest::load(&path).unwrap();
-    assert!(loaded.matches(11, &[("reps".to_string(), "10".to_string())]));
-    assert!(!loaded.matches(12, &[("reps".to_string(), "10".to_string())]));
-    let completed = loaded.completed();
-    assert_eq!(completed.len(), 9);
-    assert!(!completed.contains("exhibit4"));
-    let remaining: Vec<String> = (0..10)
-        .map(|i| format!("exhibit{i}"))
-        .filter(|name| !completed.contains(name))
-        .collect();
-    assert_eq!(remaining, vec!["exhibit4".to_string()]);
-
-    // The failed row retains its diagnosis.
-    match &loaded.job("exhibit4").unwrap().status {
-        JobStatus::Failed(msg) => assert!(msg.contains("flaky"), "{msg}"),
-        other => panic!("expected failure, got {other:?}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,10 +1,11 @@
-//! # abs-obs — cycle-resolved tracing and metrics
+//! # abs-obs — cycle-resolved tracing
 //!
-//! The observability layer of the workspace: a trace recorder and a
-//! metrics registry that the simulators (`abs-core`, `abs-net`) and the
-//! execution engine (`abs-exec`) feed, plus exporters that turn a
-//! recording into a Chrome trace-event JSON file (openable in Perfetto or
-//! `chrome://tracing`) or an in-terminal ASCII heatmap.
+//! The observability layer of the workspace: a trace recorder that the
+//! simulators (`abs-core`, `abs-net`, `abs-load`) write through a
+//! [`TraceSink`], plus exporters that turn a recording — and the worker
+//! timings of an `abs-exec` run report — into a Chrome trace-event JSON
+//! file (openable in Perfetto or `chrome://tracing`) or an in-terminal
+//! ASCII heatmap.
 //!
 //! ## Design rules
 //!
@@ -43,10 +44,8 @@
 
 pub mod ascii;
 pub mod chrome;
-pub mod metrics;
 pub mod trace;
 
 pub use ascii::timeline;
 pub use chrome::{exec_report_lanes, sim_lane_events, validate, ChromeTrace, WALL_PID};
-pub use metrics::{Histogram, Registry, Snapshot};
 pub use trace::{lane, Event, Name, Noop, Phase, Ring, TraceSink, DEFAULT_RING_CAPACITY};

@@ -27,10 +27,10 @@
 //!   policies, built on `std::sync::atomic`.
 //! * [`exec`] — the deterministic parallel execution engine: seeded job
 //!   sets, a fixed-size worker pool with id-ordered commit, panic
-//!   isolation, and JSON run manifests for `--resume`.
-//! * [`obs`] — cycle-resolved tracing and metrics: trace recorder with a
-//!   bounded ring buffer, metrics registry, Chrome trace-event export
-//!   (Perfetto-compatible), and an in-terminal ASCII timeline.
+//!   isolation, and JSON run manifests.
+//! * [`obs`] — cycle-resolved tracing: trace recorder with a bounded ring
+//!   buffer, Chrome trace-event export (Perfetto-compatible), and an
+//!   in-terminal ASCII timeline.
 //! * [`lint`] — hermetic static analysis enforcing the determinism,
 //!   hermeticity, panic-path, unsafe-audit, arith and contract-xref rules
 //!   across the workspace (`cargo run -p abs-lint`).
